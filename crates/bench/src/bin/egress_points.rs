@@ -1,29 +1,31 @@
-//! Leader-egress sweep: client count × cache-hit rate × proposal mode.
+//! Leader-egress sweep: client count × cache-hit rate.
 //!
 //! Every point drives a 4-node PBFT shim synchronously (no simulator
-//! clock, no faults) through the same deterministic workload in both
-//! proposal modes and counts the bytes the leader puts on the wire,
-//! sender-side, from the messages' honest `wire_size` models. The rows
-//! come in full/digest pairs with identical workloads, so committed
-//! counts are equal by construction and any divergence is a protocol bug.
+//! clock, no faults) through the same deterministic workload and counts
+//! the bytes the leader puts on the wire, sender-side, from the messages'
+//! honest `wire_size` models. PBFT proposals carry transaction ids, not
+//! bodies, so the yardstick is `body_bytes`: what re-shipping every
+//! committed batch's bodies to the `n − 1` replicas would cost.
 //!
 //! The cache-hit rate models how much of the client broadcast reached the
-//! replicas before the digest proposal did: at `hit_permille = 1000`
-//! every body is reconstructed locally; lower rates force `BATCHFETCH` /
-//! `BATCHFILL` recovery traffic, which is charged against the leader like
-//! everything else it sends. Below roughly 12% warm the fills cost more
-//! than the digests save — the sweep starts at 250‰ because the digest
-//! mode targets the warm-cache regime (clients broadcast to all nodes),
-//! and CI asserts digest egress < full egress at every swept point plus
-//! the ≥5× reduction at the 100-client warm point.
+//! replicas before the proposal did: at `hit_permille = 1000` every body
+//! is rebuilt locally; lower rates force `BATCHFETCH` / `BATCHFILL`
+//! recovery traffic, which is charged against the leader like everything
+//! else it sends. Whatever the rate, every replica must commit exactly
+//! the batches the leader committed (the bin asserts it), and CI checks
+//! that each point commits as many batches as the 1000‰ point.
 //!
-//! CSV columns: `mode,clients,hit_permille,leader_egress_bytes,committed`.
+//! CSV columns: `clients,hit_permille,leader_egress_bytes,proposal_bytes,
+//! body_bytes,committed`. `proposal_bytes` is the leader's share of
+//! `leader_egress_bytes` spent on `PREPREPARE` and `BATCHFILL`, the
+//! traffic the proposal shape decides (votes cost the same either way).
 
-use sbft_consensus::{OrderingProtocol, PbftReplica};
-use sbft_core::{Action, ClientRequest, Destination, ProtocolMessage, ShimNode};
+use sbft_consensus::ConsensusMessage;
+use sbft_core::{Action, ClientRequest, Destination, ProtocolMessage, SystemBuilder};
 use sbft_crypto::CryptoProvider;
 use sbft_types::{
-    ClientId, ComponentId, Key, NodeId, Operation, SimTime, SystemConfig, Transaction, TxnId, Value,
+    ClientId, ComponentId, Key, NodeId, Operation, SeqNum, SimTime, SystemConfig, Transaction,
+    TxnId, Value,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,43 +50,36 @@ impl SplitMix64 {
 /// One synchronously driven 4-node cluster with sender-side byte
 /// accounting on the leader's node-to-node traffic.
 struct Cluster {
-    nodes: Vec<ShimNode>,
+    nodes: Vec<sbft_core::ShimNode>,
     provider: Arc<CryptoProvider>,
     leader_egress: u64,
+    proposal_bytes: u64,
+    /// Committed sequence numbers per node, in commit order.
+    committed: Vec<Vec<SeqNum>>,
+}
+
+/// What one sweep point measured.
+struct Point {
+    leader_egress: u64,
+    proposal_bytes: u64,
+    body_bytes: u64,
     committed: u64,
 }
 
 impl Cluster {
-    fn new(clients: u64, digest: bool) -> Self {
+    fn new(clients: u64) -> Self {
         let mut config = SystemConfig::with_shim_size(4);
         config.workload.batch_size = clients as usize;
-        config.digest_proposals = digest;
-        let provider = CryptoProvider::new(4 + clients);
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(
-                    PbftReplica::new(
-                        NodeId(i),
-                        config.fault,
-                        provider.handle(ComponentId::Node(NodeId(i))),
-                        config.timers.node_timeout,
-                        config.timers.checkpoint_interval,
-                    )
-                    .with_digest_proposals(digest),
-                );
-                ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                )
-            })
-            .collect();
+        config.workload.num_clients = 1;
+        config.workload.num_records = 64;
+        let system = SystemBuilder::new(config).seed(4 + clients).build();
+        let n = system.nodes.len();
         Cluster {
-            nodes,
-            provider,
+            nodes: system.nodes,
+            provider: system.provider,
             leader_egress: 0,
-            committed: 0,
+            proposal_bytes: 0,
+            committed: vec![Vec::new(); n],
         }
     }
 
@@ -104,17 +99,11 @@ impl Cluster {
     /// Routes node-to-node consensus traffic to quiescence, charging every
     /// copy the leader sends at its honest wire size.
     fn drive(&mut self, origin: usize, actions: Vec<Action>) {
-        let n = self.nodes.len();
-        let mut queue: VecDeque<(usize, usize, ProtocolMessage)> = VecDeque::new();
-        self.absorb(origin, actions, &mut queue, n);
+        let mut queue: VecDeque<(usize, usize, ConsensusMessage)> = VecDeque::new();
+        self.absorb(origin, actions, &mut queue);
         while let Some((from, to, msg)) = queue.pop_front() {
-            let acts = match &msg {
-                ProtocolMessage::Consensus(c) => {
-                    self.nodes[to].on_consensus_message(NodeId(from as u32), c.clone())
-                }
-                _ => Vec::new(),
-            };
-            self.absorb(to, acts, &mut queue, n);
+            let acts = self.nodes[to].on_consensus_message(NodeId(from as u32), msg);
+            self.absorb(to, acts, &mut queue);
         }
     }
 
@@ -122,82 +111,119 @@ impl Cluster {
         &mut self,
         origin: usize,
         actions: Vec<Action>,
-        queue: &mut VecDeque<(usize, usize, ProtocolMessage)>,
-        n: usize,
+        queue: &mut VecDeque<(usize, usize, ConsensusMessage)>,
     ) {
+        let n = self.nodes.len();
         for a in actions {
-            match &a {
+            match a {
                 Action::Send(env) => {
+                    let ProtocolMessage::Consensus(msg) = env.msg else {
+                        continue;
+                    };
                     let targets: Vec<usize> = match env.to {
                         Destination::AllNodes => (0..n).filter(|t| *t != origin).collect(),
                         Destination::Node(id) => vec![id.0 as usize],
                         _ => Vec::new(),
                     };
                     if origin == 0 {
-                        self.leader_egress += (env.msg.wire_size() * targets.len()) as u64;
+                        let bytes = (msg.wire_size() * targets.len()) as u64;
+                        self.leader_egress += bytes;
+                        if matches!(
+                            msg,
+                            ConsensusMessage::PrePrepare(_) | ConsensusMessage::BatchFill(_)
+                        ) {
+                            self.proposal_bytes += bytes;
+                        }
                     }
                     for to in targets {
-                        queue.push_back((origin, to, env.msg.clone()));
+                        queue.push_back((origin, to, msg.clone()));
                     }
                 }
-                Action::BatchCommitted { .. } if origin == 0 => {
-                    self.committed += 1;
-                }
+                Action::BatchCommitted { seq, .. } => self.committed[origin].push(seq),
                 _ => {}
             }
         }
     }
+
+    /// Bodies re-shipped to every replica and the leader's commit count,
+    /// after checking every node committed the leader's batches.
+    fn finish(self) -> Point {
+        let leader = &self.nodes[0];
+        let body_bytes: u64 = self.committed[0]
+            .iter()
+            .map(|seq| {
+                leader
+                    .committed_batch(*seq)
+                    .expect("leader batch")
+                    .wire_size() as u64
+            })
+            .sum::<u64>()
+            * (self.nodes.len() as u64 - 1);
+        for (node, seqs) in self.nodes.iter().zip(&self.committed) {
+            assert_eq!(
+                seqs,
+                &self.committed[0],
+                "node {} commit order",
+                node.id().0
+            );
+            for seq in seqs {
+                let batch = node.committed_batch(*seq).expect("committed batch");
+                assert_eq!(
+                    Some(batch),
+                    leader.committed_batch(*seq),
+                    "node {} rebuilt other content at {seq:?}",
+                    node.id().0
+                );
+            }
+            assert!(
+                node.pending_reconstructions().is_empty(),
+                "every proposal must finish reconstructing"
+            );
+        }
+        Point {
+            leader_egress: self.leader_egress,
+            proposal_bytes: self.proposal_bytes,
+            body_bytes,
+            committed: self.committed[0].len() as u64,
+        }
+    }
 }
 
-/// Drives `batches` batches of `clients` transactions through one cluster
-/// and returns (leader egress bytes, batches committed at the leader).
-fn run_point(clients: u64, hit_permille: u64, digest: bool, batches: u64) -> (u64, u64) {
-    let mut cluster = Cluster::new(clients, digest);
+/// Drives `batches` batches of `clients` transactions through one cluster.
+fn run_point(clients: u64, hit_permille: u64, batches: u64) -> Point {
+    let mut cluster = Cluster::new(clients);
     let mut rng = SplitMix64(0x5eed ^ clients ^ (hit_permille << 16));
     for counter in 0..batches {
         for client in 0..clients {
             let req = cluster.request(client, counter);
-            if digest {
-                // The client broadcast: replicas hear it with the swept
-                // probability (the primary always does — it orders).
-                for replica in 1..cluster.nodes.len() {
-                    if rng.chance(hit_permille) {
-                        let fed = cluster.nodes[replica].on_client_request(&req, SimTime::ZERO);
-                        cluster.drive(replica, fed);
-                    }
+            // The client broadcast: replicas hear it with the swept
+            // probability (the primary always does — it orders).
+            for replica in 1..cluster.nodes.len() {
+                if rng.chance(hit_permille) {
+                    let fed = cluster.nodes[replica].on_client_request(&req, SimTime::ZERO);
+                    cluster.drive(replica, fed);
                 }
             }
             let actions = cluster.nodes[0].on_client_request(&req, SimTime::ZERO);
             cluster.drive(0, actions);
         }
     }
-    for node in &cluster.nodes {
-        assert!(
-            node.pending_reconstructions().is_empty(),
-            "every digest proposal must finish reconstructing"
-        );
-    }
-    (cluster.leader_egress, cluster.committed)
+    cluster.finish()
 }
 
 fn main() {
-    println!("mode,clients,hit_permille,leader_egress_bytes,committed");
-    // Small batches at mostly-cold caches lose (the 10-client, 250‰ point
-    // pays more in fills than the digests save), so the sweep covers the
-    // regime the mode targets: body-dominated batches.
+    println!("clients,hit_permille,leader_egress_bytes,proposal_bytes,body_bytes,committed");
     let client_counts = [50u64, 100, 200];
     let hit_rates = [250u64, 500, 750, 1_000];
     let batches = 5;
     for &clients in &client_counts {
         for &hit in &hit_rates {
-            let (full_egress, full_committed) = run_point(clients, hit, false, batches);
-            let (digest_egress, digest_committed) = run_point(clients, hit, true, batches);
-            println!("full,{clients},{hit},{full_egress},{full_committed}");
-            println!("digest,{clients},{hit},{digest_egress},{digest_committed}");
-            // The pairing invariant CI re-checks from the CSV: identical
-            // workloads must commit identically in both modes.
-            assert_eq!(full_committed, digest_committed);
-            assert_eq!(full_committed, batches);
+            let p = run_point(clients, hit, batches);
+            println!(
+                "{clients},{hit},{},{},{},{}",
+                p.leader_egress, p.proposal_bytes, p.body_bytes, p.committed
+            );
+            assert_eq!(p.committed, batches);
         }
     }
 }

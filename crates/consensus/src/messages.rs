@@ -20,33 +20,9 @@ use std::sync::Arc;
 /// tags, lengths) used by the wire-size model.
 pub const FRAMING_OVERHEAD: usize = 120;
 
-/// `PREPREPARE(⟨T⟩_C, Δ, k)`: the primary proposes ordering batch `Δ` at
-/// sequence `k` in view `v` (MAC-authenticated).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct PrePrepare {
-    /// Current view.
-    pub view: ViewNumber,
-    /// Proposed sequence number.
-    pub seq: SeqNum,
-    /// Digest of the batch, `Δ = H(m)`.
-    pub digest: Digest,
-    /// The full batch of client transactions.
-    pub batch: Batch,
-    /// The ordering-time shard plan the batcher computed for this batch.
-    /// Replicated alongside the batch so every node (and, after a view
-    /// change, every future primary) spawns executors with the same tag.
-    /// Deliberately *not* covered by the MAC or the digest: it is a
-    /// trust-but-verify hint that the verifier re-derives before acting
-    /// on it (see `sbft_types::plan`), so authenticating a byzantine
-    /// primary's claim would buy nothing.
-    pub plan: ShardPlan,
-    /// MAC over the header fields from the primary.
-    pub mac: MacTag,
-}
-
 /// A 512-bit bloom filter over the transaction ids of a proposed batch,
-/// carried inside [`DigestPrePrepare`] (the shape of Iroha's on-demand
-/// ordering proposals). Its job is proposal self-consistency: every id the
+/// carried inside [`PrePrepare`] (the shape of Iroha's on-demand ordering
+/// proposals). Its job is proposal self-consistency: every id the
 /// proposal lists must be a member, so a replica can reject a malformed
 /// proposal before spending a fetch round-trip, and a replica holding
 /// bodies the primary never listed can cheaply see they are not part of
@@ -122,17 +98,16 @@ impl Default for TxnBloom {
     }
 }
 
-/// `DIGEST-PREPREPARE(Δ, ids, bloom, k)`: the bandwidth-frugal form of the
-/// proposal. Instead of re-shipping every transaction body to every
-/// replica, the primary sends the batch digest, the ordered transaction
-/// ids (compact 4-byte delta encoding on the wire) and a bloom filter over
-/// them; replicas reconstruct the batch from the bodies they already hold
-/// from client submission and fetch only what they miss via
-/// [`BatchFetch`]/[`BatchFill`]. The digest pins the proposal exactly as
-/// in the full-body path: no vote is cast before the reconstructed batch
-/// hashes to `Δ`.
+/// `PREPREPARE(Δ, ids, bloom, k)`: the primary proposes ordering batch `Δ`
+/// at sequence `k` in view `v` (MAC-authenticated). The proposal carries no
+/// transaction bodies: the batch digest, the ordered transaction ids
+/// (compact 4-byte delta encoding on the wire) and a bloom filter over
+/// them. Replicas reconstruct the batch from the bodies they already hold
+/// from the client broadcast and fetch only what they miss via
+/// [`BatchFetch`]/[`BatchFill`]. No vote is cast before the reconstructed
+/// batch hashes to `Δ`.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct DigestPrePrepare {
+pub struct PrePrepare {
     /// Current view.
     pub view: ViewNumber,
     /// Proposed sequence number.
@@ -143,15 +118,31 @@ pub struct DigestPrePrepare {
     pub txn_ids: Vec<TxnId>,
     /// Bloom filter over `txn_ids` (proposal self-consistency check).
     pub bloom: TxnBloom,
-    /// The ordering-time shard plan (same trust-but-verify rules as in
-    /// [`PrePrepare`]).
+    /// The ordering-time shard plan the batcher computed for this batch.
+    /// Replicated alongside the batch so every node (and, after a view
+    /// change, every future primary) spawns executors with the same tag.
+    /// Deliberately *not* covered by the MAC or the digest: it is a
+    /// trust-but-verify hint that the verifier re-derives before acting
+    /// on it (see `sbft_types::plan`), so authenticating a byzantine
+    /// primary's claim would buy nothing.
     pub plan: ShardPlan,
     /// MAC over the header fields from the primary.
     pub mac: MacTag,
 }
 
-/// `BATCHFETCH`: a replica reconstructing a digest proposal asks the
-/// primary for the transaction bodies it misses — or, after a digest
+impl PrePrepare {
+    /// Modeled wire size of the proposal body: header (view + seq) +
+    /// digest + MAC + plan tag + id count + bloom + the id list. The ids
+    /// ride as a compact 4-byte delta encoding against the batch's first
+    /// id (consecutive counters from a bounded client set), not as full
+    /// 12-byte ids.
+    #[must_use]
+    pub fn body_wire_size(&self) -> usize {
+        16 + 32 + 32 + 5 + 8 + TxnBloom::wire_size() + self.txn_ids.len() * 4
+    }
+}
+
+/// `BATCHFETCH`: a replica reconstructing a proposal asks the primary for the transaction bodies it misses — or, after a digest
 /// mismatch, for the full batch (`full = true`).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct BatchFetch {
@@ -358,11 +349,9 @@ pub struct CftDecide {
 /// All messages understood by the shim ordering protocols.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum ConsensusMessage {
-    /// PBFT pre-prepare.
+    /// PBFT pre-prepare (ids + bloom, no bodies).
     PrePrepare(PrePrepare),
-    /// PBFT pre-prepare in digest-proposal mode (ids + bloom, no bodies).
-    DigestPrePrepare(DigestPrePrepare),
-    /// Request for missing transaction bodies of a digest proposal.
+    /// Request for missing transaction bodies of a proposal.
     BatchFetch(BatchFetch),
     /// Bodies answering a [`BatchFetch`].
     BatchFill(BatchFill),
@@ -394,7 +383,6 @@ impl ConsensusMessage {
     pub fn kind(&self) -> &'static str {
         match self {
             ConsensusMessage::PrePrepare(_) => "PREPREPARE",
-            ConsensusMessage::DigestPrePrepare(_) => "DIGEST-PREPREPARE",
             ConsensusMessage::BatchFetch(_) => "BATCHFETCH",
             ConsensusMessage::BatchFill(_) => "BATCHFILL",
             ConsensusMessage::Prepare(_) => "PREPARE",
@@ -410,30 +398,13 @@ impl ConsensusMessage {
         }
     }
 
-    /// Modeled wire size in bytes. With the default 100-transaction batch
-    /// the sizes land near the paper's reported numbers
-    /// (`PREPREPARE` 5392 B, `PREPARE` 216 B, `COMMIT` 220 B).
+    /// Modeled wire size in bytes. `PREPARE` and `COMMIT` land near the
+    /// paper's reported numbers (216 B and 220 B); `PREPREPARE` ships ids
+    /// instead of the paper's full bodies (5392 B at 100 transactions).
     #[must_use]
     pub fn wire_size(&self) -> usize {
         match self {
-            ConsensusMessage::PrePrepare(m) => {
-                FRAMING_OVERHEAD + 16 + 32 + 32 + 5 + m.batch.wire_size()
-            }
-            ConsensusMessage::DigestPrePrepare(m) => {
-                // Header (view + seq) + digest + MAC + plan tag + id count
-                // + bloom + the id list. The ids ride as a compact 4-byte
-                // delta encoding against the batch's first id (consecutive
-                // counters from a bounded client set), not as full 12-byte
-                // ids — that compaction is the whole point of the message.
-                FRAMING_OVERHEAD
-                    + 16
-                    + 32
-                    + 32
-                    + 5
-                    + 8
-                    + TxnBloom::wire_size()
-                    + m.txn_ids.len() * 4
-            }
+            ConsensusMessage::PrePrepare(m) => FRAMING_OVERHEAD + m.body_wire_size(),
             ConsensusMessage::BatchFetch(m) => {
                 // Header + sender + digest + MAC + full flag + id count +
                 // full 12-byte ids (no delta locality in a miss set).
@@ -462,9 +433,8 @@ impl ConsensusMessage {
             ConsensusMessage::NewView(m) => {
                 // Each justifying view-change sender is charged with the
                 // 64-byte signature that proves its VIEWCHANGE (id alone
-                // under-counted the proof); each reissued pre-prepare
-                // carries its MAC and replicated plan tag like the
-                // standalone message does.
+                // under-counted the proof); each reissued pre-prepare is
+                // charged exactly like the standalone message's body.
                 FRAMING_OVERHEAD
                     + 16
                     + 4
@@ -472,7 +442,7 @@ impl ConsensusMessage {
                     + m.view_change_senders.len() * (4 + 64)
                     + m.reissued
                         .iter()
-                        .map(|pp| 48 + 32 + 5 + pp.batch.wire_size())
+                        .map(PrePrepare::body_wire_size)
                         .sum::<usize>()
             }
             ConsensusMessage::Checkpoint(m) => {
@@ -684,22 +654,17 @@ mod tests {
         assert_ne!(base, header_digest("commit", ViewNumber(0), SeqNum(1), &d));
     }
 
-    #[test]
-    fn preprepare_size_near_paper_for_batch_100() {
-        let b = batch(100);
-        let msg = ConsensusMessage::PrePrepare(PrePrepare {
+    fn proposal(b: &Batch) -> PrePrepare {
+        let ids = b.txn_ids();
+        PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
-            batch: b,
+            digest: batch_digest(b),
+            bloom: TxnBloom::from_ids(&ids),
+            txn_ids: ids,
             plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
-        });
-        let size = msg.wire_size();
-        assert!(
-            (4_800..=6_500).contains(&size),
-            "PREPREPARE size {size} should be near the paper's 5392 B"
-        );
+        }
     }
 
     #[test]
@@ -777,37 +742,20 @@ mod tests {
     }
 
     #[test]
-    fn digest_preprepare_is_far_smaller_than_full_preprepare() {
+    fn preprepare_is_far_smaller_than_the_batch_it_orders() {
         let b = batch(100);
-        let full = ConsensusMessage::PrePrepare(PrePrepare {
-            view: ViewNumber(0),
-            seq: SeqNum(1),
-            digest: batch_digest(&b),
-            batch: b.clone(),
-            plan: ShardPlan::Unplanned,
-            mac: MacTag::ZERO,
-        });
-        let ids = b.txn_ids();
-        let digest = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
-            view: ViewNumber(0),
-            seq: SeqNum(1),
-            digest: batch_digest(&b),
-            bloom: TxnBloom::from_ids(&ids),
-            txn_ids: ids,
-            plan: ShardPlan::Unplanned,
-            mac: MacTag::ZERO,
-        });
+        let pp = ConsensusMessage::PrePrepare(proposal(&b));
         // Pinned: 120 framing + 16 header + 32 digest + 32 mac + 5 plan +
         // 8 count + 64 bloom + 100 × 4 delta-encoded ids.
-        assert_eq!(digest.wire_size(), 677);
+        assert_eq!(pp.wire_size(), 677);
         assert!(
-            full.wire_size() >= 5 * digest.wire_size(),
-            "digest proposal must be at least 5x smaller ({} vs {})",
-            full.wire_size(),
-            digest.wire_size()
+            b.wire_size() >= 5 * pp.wire_size(),
+            "the proposal must be at least 5x smaller than the bodies ({} vs {})",
+            b.wire_size(),
+            pp.wire_size()
         );
-        assert_eq!(digest.kind(), "DIGEST-PREPREPARE");
-        assert!(!digest.is_signed(), "digest pre-prepares are MAC-only");
+        assert_eq!(pp.kind(), "PREPREPARE");
+        assert!(!pp.is_signed(), "pre-prepares are MAC-only");
     }
 
     #[test]
@@ -851,14 +799,7 @@ mod tests {
         // and the justifying certificate bytes used to be omitted, so the
         // messages this crate re-ships batches in under-charged the wire.
         let b = batch(10);
-        let pp = PrePrepare {
-            view: ViewNumber(1),
-            seq: SeqNum(1),
-            digest: batch_digest(&b),
-            batch: b.clone(),
-            plan: ShardPlan::Unplanned,
-            mac: MacTag::ZERO,
-        };
+        let pp = proposal(&b);
         let nv = ConsensusMessage::NewView(NewView {
             new_view: ViewNumber(1),
             sender: NodeId(1),
@@ -868,9 +809,9 @@ mod tests {
         });
         assert_eq!(
             nv.wire_size(),
-            FRAMING_OVERHEAD + 16 + 4 + 64 + 3 * (4 + 64) + (48 + 32 + 5 + b.wire_size()),
+            FRAMING_OVERHEAD + 16 + 4 + 64 + 3 * (4 + 64) + pp.body_wire_size(),
             "NEWVIEW must charge per-sender proof signatures and the \
-             reissued pre-prepares' MAC and plan tag"
+             reissued pre-prepares like standalone ones"
         );
         // Signature validity is irrelevant to the wire model.
         let cert = Arc::new(CommitCertificate::new(
@@ -900,29 +841,20 @@ mod tests {
 
     #[test]
     fn cft_messages_are_smaller_than_bft_counterparts() {
-        let b = batch(100);
-        let accept = ConsensusMessage::CftAccept(CftAccept {
-            ballot: ViewNumber(0),
-            seq: SeqNum(1),
-            digest: batch_digest(&b),
-            batch: b.clone(),
-            plan: ShardPlan::Unplanned,
-        });
-        let pp = ConsensusMessage::PrePrepare(PrePrepare {
-            view: ViewNumber(0),
-            seq: SeqNum(1),
-            digest: batch_digest(&b),
-            batch: b,
-            plan: ShardPlan::Unplanned,
-            mac: MacTag::ZERO,
-        });
-        assert!(accept.wire_size() < pp.wire_size());
         let accepted = ConsensusMessage::CftAccepted(CftAccepted {
             ballot: ViewNumber(0),
             seq: SeqNum(1),
             digest: Digest::ZERO,
             sender: NodeId(0),
         });
+        let prepare = ConsensusMessage::Prepare(Prepare {
+            view: ViewNumber(0),
+            seq: SeqNum(1),
+            digest: Digest::ZERO,
+            sender: NodeId(1),
+            mac: MacTag::ZERO,
+        });
+        assert!(accepted.wire_size() < prepare.wire_size());
         assert!(!accepted.is_signed());
     }
 }

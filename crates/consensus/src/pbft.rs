@@ -7,6 +7,14 @@
 //! signed `COMMIT`; `2f_R + 1` matching commits make the request
 //! *committed* and their signatures form the execution certificate `C`.
 //!
+//! The `PREPREPARE` carries the batch digest, the ordered transaction ids
+//! and a bloom filter, never the bodies (the single proposal shape of
+//! Iroha's on-demand ordering). Every replica — for a fresh proposal and
+//! for a `NEWVIEW` re-issue alike — rebuilds the batch from its log or
+//! from the bodies the client broadcast left in its cache, fetches only
+//! what it misses (`BATCHFETCH`/`BATCHFILL`), and votes once the rebuilt
+//! batch hashes to the proposal digest.
+//!
 //! The module also implements:
 //!
 //! * the **view change** protocol used to replace a faulty primary
@@ -27,8 +35,7 @@ use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::log::ConsensusLog;
 use crate::messages::{
     batch_digest, header_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage,
-    DigestPrePrepare, NewView, PrePrepare, Prepare, PreparedProof, StateRequest, StateResponse,
-    TxnBloom, ViewChange,
+    NewView, PrePrepare, Prepare, PreparedProof, StateRequest, StateResponse, TxnBloom, ViewChange,
 };
 use crate::traits::{OrderingProtocol, RecoveryStats};
 use sbft_crypto::certificate::commit_digest;
@@ -85,16 +92,13 @@ pub struct PbftReplica {
     /// Total checkpoint catch-ups performed.
     catch_ups: u64,
 
-    /// Whether proposals are broadcast by digest (`DIGEST-PREPREPARE`)
-    /// instead of with full bodies.
-    digest_mode: bool,
     /// Transaction bodies observed from client submission (and promoted
-    /// from verified fills), keyed by id — the pool digest proposals are
+    /// from verified fills), keyed by id — the pool proposals are
     /// reconstructed from. GC'd on the shim's checkpoint rhythm via
     /// [`OrderingProtocol::gc_bodies`].
     body_cache: BTreeMap<TxnId, Transaction>,
-    /// Digest proposals accepted for reconstruction but not yet voted on
-    /// (bodies still missing, or awaiting the full-batch fallback).
+    /// Proposals accepted for reconstruction but not yet voted on (bodies
+    /// still missing, or awaiting the full-batch fallback).
     pending_digest: BTreeMap<SeqNum, PendingProposal>,
     /// Bodies found in the cache during reconstruction.
     cache_hits: Counter,
@@ -109,7 +113,7 @@ pub struct PbftReplica {
     fallbacks: Counter,
 }
 
-/// A digest proposal whose batch is still being reconstructed. The entry
+/// A proposal whose batch is still being reconstructed. The entry
 /// holds everything needed to vote once the last body lands — and keeps
 /// fetched bodies quarantined away from the shared cache until the
 /// reconstructed batch hashes to the proposal digest, so a poisoned fill
@@ -180,7 +184,6 @@ impl PbftReplica {
             floor_claims: BTreeMap::new(),
             retries: 0,
             catch_ups: 0,
-            digest_mode: false,
             body_cache: BTreeMap::new(),
             pending_digest: BTreeMap::new(),
             cache_hits: Counter::new(),
@@ -191,30 +194,7 @@ impl PbftReplica {
         }
     }
 
-    /// Enables (or disables) digest proposals: the primary broadcasts
-    /// `DIGEST-PREPREPARE` (ids + bloom filter, no bodies) and replicas
-    /// reconstruct batches from their body caches, fetching only what
-    /// they miss. Every node of a shim must agree on the mode.
-    #[must_use]
-    pub fn with_digest_proposals(mut self, enabled: bool) -> Self {
-        self.digest_mode = enabled;
-        self
-    }
-
-    /// Whether digest proposals are enabled on this replica.
-    #[must_use]
-    pub fn digest_proposals_enabled(&self) -> bool {
-        self.digest_mode
-    }
-
-    /// Number of transaction bodies currently cached (tests and GC
-    /// accounting).
-    #[must_use]
-    pub fn body_cache_len(&self) -> usize {
-        self.body_cache.len()
-    }
-
-    /// Cumulative digest-mode counters: cache hits, misses, fetches sent,
+    /// Cumulative reconstruction counters: cache hits, misses, fetches sent,
     /// fills served, full-batch fallbacks (tests; experiments read the
     /// registry).
     #[must_use]
@@ -280,6 +260,30 @@ impl PbftReplica {
             digest,
             sender: self.me,
             signature: self.crypto.sign(&signed),
+        }
+    }
+
+    /// The one proposal constructor: ids + bloom filter over `batch`, MACed
+    /// over the `(view, seq, digest)` header. Used for fresh proposals and
+    /// for `NEWVIEW` re-issues alike.
+    fn make_pre_prepare(
+        &self,
+        view: ViewNumber,
+        seq: SeqNum,
+        digest: Digest,
+        batch: &Batch,
+        plan: ShardPlan,
+    ) -> PrePrepare {
+        let txn_ids = batch.txn_ids();
+        let header = header_digest("preprepare", view, seq, &digest);
+        PrePrepare {
+            view,
+            seq,
+            digest,
+            bloom: TxnBloom::from_ids(&txn_ids),
+            txn_ids,
+            plan,
+            mac: self.crypto.broadcast_mac(&header),
         }
     }
 
@@ -519,10 +523,10 @@ impl PbftReplica {
             return Vec::new();
         }
         self.in_view_change = true;
-        // In-flight digest reconstructions die with the view: only
-        // *prepared* proposals survive a view change, and a proposal only
-        // prepares after its batch reconstructed. The new primary
-        // re-issues survivors as full pre-prepares.
+        // In-flight reconstructions die with the view: only *prepared*
+        // proposals survive a view change, and a proposal only prepares
+        // after its batch reconstructed. The new primary re-issues
+        // survivors, which replicas rebuild like any other proposal.
         self.pending_digest.clear();
         let prepared = self
             .log
@@ -583,30 +587,21 @@ impl PbftReplica {
         let senders: Vec<NodeId> = self.view_change_votes[&target].keys().copied().collect();
         // Re-propose every request that prepared but did not commit, so it
         // survives the view change (Theorem VII.2's argument).
-        let mut reissued = Vec::new();
-        let pending: Vec<(SeqNum, Digest)> = self
+        let survivors: Vec<(SeqNum, Digest, Batch, ShardPlan)> = self
             .log
             .prepared_uncommitted()
             .into_iter()
-            .map(|(seq, _, digest)| (seq, digest))
+            .filter_map(|(seq, _, digest)| {
+                let entry = self.log.entry(seq)?;
+                Some((seq, digest, entry.batch.clone()?, entry.plan))
+            })
             .collect();
-        for (seq, digest) in pending {
-            let Some(entry) = self.log.entry(seq) else {
-                continue;
-            };
-            let plan = entry.plan;
-            if let Some(batch) = entry.batch.clone() {
-                let header = header_digest("preprepare", target, seq, &digest);
-                reissued.push(PrePrepare {
-                    view: target,
-                    seq,
-                    digest,
-                    batch,
-                    plan,
-                    mac: self.crypto.broadcast_mac(&header),
-                });
-            }
-        }
+        let reissued: Vec<PrePrepare> = survivors
+            .iter()
+            .map(|(seq, digest, batch, plan)| {
+                self.make_pre_prepare(target, *seq, *digest, batch, *plan)
+            })
+            .collect();
         let digest = sbft_crypto::digest_u64s(
             "newview",
             &[target.0, senders.len() as u64, reissued.len() as u64],
@@ -615,7 +610,7 @@ impl PbftReplica {
             new_view: target,
             sender: self.me,
             view_change_senders: senders,
-            reissued: reissued.clone(),
+            reissued,
             signature: self.crypto.sign(&digest),
         };
         let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::NewView(
@@ -623,12 +618,10 @@ impl PbftReplica {
         ))];
         actions.extend(self.install_view(target));
         // The new primary re-runs consensus for the re-issued requests.
-        for pp in reissued {
-            let seq = pp.seq;
-            let digest = pp.digest;
+        for (seq, digest, batch, plan) in survivors {
             if self
                 .log
-                .accept_pre_prepare(seq, target, digest, pp.batch.clone(), pp.plan)
+                .accept_pre_prepare(seq, target, digest, batch, plan)
             {
                 actions.extend(self.after_pre_prepare(target, seq, digest));
             }
@@ -673,7 +666,7 @@ impl PbftReplica {
         ]
     }
 
-    // ----- digest proposals -------------------------------------------------
+    // ----- proposal reconstruction ------------------------------------------
 
     /// The peer a `BATCHFETCH` attempt targets: the primary of the
     /// proposal's view first, then rotation through the other replicas so
@@ -726,7 +719,7 @@ impl PbftReplica {
         ]
     }
 
-    /// Tries to finish reconstructing a pending digest proposal: if no
+    /// Tries to finish reconstructing a pending proposal: if no
     /// bodies are missing, assembles the batch in proposal order, checks
     /// it against the proposal digest, and either votes (digest matches —
     /// quarantined bodies are promoted into the shared cache) or falls
@@ -798,73 +791,87 @@ impl PbftReplica {
         }
     }
 
-    fn on_digest_pre_prepare(
-        &mut self,
-        from: NodeId,
-        dpp: DigestPrePrepare,
-    ) -> Vec<ConsensusAction> {
-        // Same well-formedness gate as a full pre-prepare.
+    /// The single proposal receive path, for fresh proposals and `NEWVIEW`
+    /// re-issues alike: well-formedness (Figure 3, line 10), then the
+    /// batch is rebuilt from the log (a re-issue of a batch this replica
+    /// already holds) or from the body cache, fetching only what is
+    /// missing.
+    fn on_pre_prepare(&mut self, from: NodeId, pp: PrePrepare) -> Vec<ConsensusAction> {
         if self.in_view_change
-            || dpp.view != self.view
-            || from != self.primary_of(dpp.view)
-            || dpp.seq <= self.log.stable_seq()
+            || pp.view != self.view
+            || from != self.primary_of(pp.view)
+            || pp.seq <= self.log.stable_seq()
         {
             return Vec::new();
         }
-        let header = header_digest("digest-preprepare", dpp.view, dpp.seq, &dpp.digest);
+        let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
         if !self
             .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &dpp.mac)
+            .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
         {
             return Vec::new();
         }
         // Proposal self-consistency: a non-empty, duplicate-free id list
         // every member of which hits the bloom filter. Malformed proposals
         // are dropped before any fetch bandwidth is spent on them.
-        if dpp.txn_ids.is_empty()
-            || dpp.txn_ids.iter().collect::<BTreeSet<_>>().len() != dpp.txn_ids.len()
-            || dpp.txn_ids.iter().any(|id| !dpp.bloom.contains(*id))
+        if pp.txn_ids.is_empty()
+            || pp.txn_ids.iter().collect::<BTreeSet<_>>().len() != pp.txn_ids.len()
+            || pp.txn_ids.iter().any(|id| !pp.bloom.contains(*id))
         {
             return Vec::new();
         }
         // Equivocation checks against both the log and the pending set:
         // two different digests proposed at one sequence number of one
         // view expose the primary.
-        if let Some(entry) = self.log.entry(dpp.seq) {
-            if entry.view == Some(dpp.view) {
+        if let Some(entry) = self.log.entry(pp.seq) {
+            if entry.view == Some(pp.view) {
                 match entry.digest {
-                    Some(d) if d != dpp.digest => return self.start_view_change(self.view.next()),
+                    Some(d) if d != pp.digest => return self.start_view_change(self.view.next()),
                     Some(_) => return Vec::new(), // duplicate of an accepted proposal
                     None => {}
                 }
             }
         }
-        if let Some(pending) = self.pending_digest.get(&dpp.seq) {
-            if pending.view == dpp.view {
-                if pending.digest != dpp.digest {
+        if let Some(pending) = self.pending_digest.get(&pp.seq) {
+            if pending.view == pp.view {
+                if pending.digest != pp.digest {
                     return self.start_view_change(self.view.next());
                 }
                 return Vec::new(); // duplicate of an in-flight reconstruction
             }
         }
+        // Log hit: a re-issue of a batch this replica already accepted in an
+        // earlier view. The logged batch was digest-checked when it was
+        // accepted, so it is re-seated as is.
+        let logged = self
+            .log
+            .entry(pp.seq)
+            .filter(|e| e.digest == Some(pp.digest))
+            .and_then(|e| e.batch.clone());
+        if let Some(batch) = logged {
+            self.cache_hits.add(pp.txn_ids.len() as u64);
+            self.log
+                .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch, pp.plan);
+            return self.after_pre_prepare(pp.view, pp.seq, pp.digest);
+        }
         // Reconstruct from the body cache; fetch only what is missing.
-        let missing: BTreeSet<TxnId> = dpp
+        let missing: BTreeSet<TxnId> = pp
             .txn_ids
             .iter()
             .filter(|id| !self.body_cache.contains_key(id))
             .copied()
             .collect();
         self.cache_hits
-            .add((dpp.txn_ids.len() - missing.len()) as u64);
+            .add((pp.txn_ids.len() - missing.len()) as u64);
         self.cache_misses.add(missing.len() as u64);
         let need_fetch = !missing.is_empty();
         self.pending_digest.insert(
-            dpp.seq,
+            pp.seq,
             PendingProposal {
-                view: dpp.view,
-                digest: dpp.digest,
-                txn_ids: dpp.txn_ids,
-                plan: dpp.plan,
+                view: pp.view,
+                digest: pp.digest,
+                txn_ids: pp.txn_ids,
+                plan: pp.plan,
                 missing,
                 received: BTreeMap::new(),
                 fetch_attempts: 0,
@@ -873,9 +880,9 @@ impl PbftReplica {
             },
         );
         if need_fetch {
-            self.send_fetch(dpp.seq)
+            self.send_fetch(pp.seq)
         } else {
-            self.try_complete_reconstruction(dpp.seq)
+            self.try_complete_reconstruction(pp.seq)
         }
     }
 
@@ -972,37 +979,6 @@ impl PbftReplica {
 
     // ----- message handlers -------------------------------------------------
 
-    fn on_pre_prepare(&mut self, from: NodeId, pp: PrePrepare) -> Vec<ConsensusAction> {
-        // Well-formedness checks (Figure 3, line 10).
-        if self.in_view_change
-            || pp.view != self.view
-            || from != self.primary_of(pp.view)
-            || pp.sender_ok(from)
-            || pp.seq <= self.log.stable_seq()
-        {
-            return Vec::new();
-        }
-        let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
-        if !self
-            .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
-        {
-            return Vec::new();
-        }
-        if batch_digest(&pp.batch) != pp.digest {
-            return Vec::new();
-        }
-        if !self
-            .log
-            .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch.clone(), pp.plan)
-        {
-            // Equivocation detected: the primary proposed two different
-            // batches at the same sequence number.
-            return self.start_view_change(self.view.next());
-        }
-        self.after_pre_prepare(pp.view, pp.seq, pp.digest)
-    }
-
     fn on_prepare(&mut self, from: NodeId, p: Prepare) -> Vec<ConsensusAction> {
         // Votes from earlier views or below the stable checkpoint are stale;
         // votes for the current or a *later* view are kept (they may have
@@ -1082,22 +1058,7 @@ impl PbftReplica {
         }
         let mut actions = self.install_view(nv.new_view);
         for pp in nv.reissued {
-            let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
-            if pp.view == self.view
-                && batch_digest(&pp.batch) == pp.digest
-                && self
-                    .crypto
-                    .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
-                && self.log.accept_pre_prepare(
-                    pp.seq,
-                    pp.view,
-                    pp.digest,
-                    pp.batch.clone(),
-                    pp.plan,
-                )
-            {
-                actions.extend(self.after_pre_prepare(pp.view, pp.seq, pp.digest));
-            }
+            actions.extend(self.on_pre_prepare(from, pp));
         }
         actions
     }
@@ -1331,18 +1292,6 @@ fn state_request_digest(sender: NodeId, above: SeqNum) -> Digest {
     sbft_crypto::digest_u64s("staterequest", &[u64::from(sender.0), above.0])
 }
 
-impl PrePrepare {
-    /// Helper used by the replica's well-formedness check: pre-prepares are
-    /// only sent by the primary, so a mismatched relayer is rejected. (The
-    /// message itself does not carry a sender field; this returns `false`,
-    /// meaning "no inconsistency", and exists to keep the check list
-    /// aligned with Figure 3.)
-    #[allow(clippy::unused_self)]
-    fn sender_ok(&self, _from: NodeId) -> bool {
-        false
-    }
-}
-
 impl OrderingProtocol for PbftReplica {
     fn submit_batch(&mut self, batch: Batch, plan: ShardPlan) -> Vec<ConsensusAction> {
         if !self.is_primary() || self.in_view_change {
@@ -1351,39 +1300,19 @@ impl OrderingProtocol for PbftReplica {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
         let digest = batch_digest(&batch);
+        // Ids + bloom filter, no bodies: replicas rebuild the batch from
+        // the client broadcast and fetch only what they miss; the digest
+        // pins the contents.
+        let proposal = self.make_pre_prepare(self.view, seq, digest, &batch, plan);
         if !self
             .log
-            .accept_pre_prepare(seq, self.view, digest, batch.clone(), plan)
+            .accept_pre_prepare(seq, self.view, digest, batch, plan)
         {
             return Vec::new();
         }
-        let proposal = if self.digest_mode {
-            // Bandwidth-frugal proposal: ids + bloom filter, no bodies.
-            // Replicas rebuild the batch from client submissions and
-            // fetch only what they miss; the digest pins the contents.
-            let txn_ids = batch.txn_ids();
-            let header = header_digest("digest-preprepare", self.view, seq, &digest);
-            ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
-                view: self.view,
-                seq,
-                digest,
-                bloom: TxnBloom::from_ids(&txn_ids),
-                txn_ids,
-                plan,
-                mac: self.crypto.broadcast_mac(&header),
-            })
-        } else {
-            let header = header_digest("preprepare", self.view, seq, &digest);
-            ConsensusMessage::PrePrepare(PrePrepare {
-                view: self.view,
-                seq,
-                digest,
-                batch,
-                plan,
-                mac: self.crypto.broadcast_mac(&header),
-            })
-        };
-        let mut actions = vec![ConsensusAction::Broadcast(proposal)];
+        let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::PrePrepare(
+            proposal,
+        ))];
         actions.extend(self.after_pre_prepare(self.view, seq, digest));
         actions
     }
@@ -1391,7 +1320,6 @@ impl OrderingProtocol for PbftReplica {
     fn handle_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<ConsensusAction> {
         match msg {
             ConsensusMessage::PrePrepare(pp) => self.on_pre_prepare(from, pp),
-            ConsensusMessage::DigestPrePrepare(dpp) => self.on_digest_pre_prepare(from, dpp),
             ConsensusMessage::BatchFetch(bf) => self.on_batch_fetch(from, bf),
             ConsensusMessage::BatchFill(bf) => self.on_batch_fill(from, bf),
             ConsensusMessage::Prepare(p) => self.on_prepare(from, p),
@@ -1511,10 +1439,11 @@ impl OrderingProtocol for PbftReplica {
         }
     }
 
+    fn caches_bodies(&self) -> bool {
+        true
+    }
+
     fn offer_body(&mut self, txn: Transaction) -> Vec<ConsensusAction> {
-        if !self.digest_mode {
-            return Vec::new();
-        }
         let id = txn.id;
         self.body_cache.insert(id, txn);
         // The body may be the last piece of an in-flight reconstruction
@@ -1606,17 +1535,6 @@ mod tests {
                 caught_up: Vec::new(),
                 provider,
             }
-        }
-
-        /// A shim whose replicas run in digest-proposal mode.
-        fn new_digest(n: usize) -> Self {
-            let mut shim = TestShim::new(n);
-            shim.replicas = shim
-                .replicas
-                .drain(..)
-                .map(|r| r.with_digest_proposals(true))
-                .collect();
-            shim
         }
 
         /// Feeds every replica's body cache with the batch's transactions
@@ -1739,11 +1657,10 @@ mod tests {
     }
 
     #[test]
-    fn committed_batches_share_storage_with_the_submitted_batch() {
-        // Zero-copy hand-off: the batch the primary submits travels through
-        // PREPREPARE, every replica's log and the Committed action as a
-        // refcount bump — all four replicas deliver the *same* transaction
-        // allocation, never a deep clone.
+    fn committed_batches_share_storage_with_the_logged_batch() {
+        // Zero-copy hand-off: the primary's submitted batch, and each
+        // replica's reconstructed batch, travel through the log and the
+        // Committed action as a refcount bump, never a deep clone.
         let mut shim = TestShim::new(4);
         let submitted = batch(0);
         let primary = shim.replicas[0].primary();
@@ -1752,13 +1669,24 @@ mod tests {
         shim.run_actions(primary, actions);
         assert_eq!(shim.committed_batches.len(), 4, "all replicas committed");
         for (node, b) in &shim.committed_batches {
+            assert_eq!(b, &submitted, "node {node} commits the submitted content");
+            let logged = shim.replicas[node.0 as usize]
+                .log()
+                .entry(SeqNum(1))
+                .and_then(|e| e.batch.clone())
+                .expect("logged batch");
             assert!(
-                b.shares_txns(&submitted),
-                "node {node} must deliver the submitted batch's storage"
+                b.shares_txns(&logged),
+                "node {node} must deliver its logged batch's storage"
             );
+            // The delivered digest is memoized once and carried by every clone.
+            assert!(b.cached_digest().is_some());
         }
-        // The delivered digest is memoized once and carried by every clone.
-        assert!(shim.committed_batches[0].1.cached_digest().is_some());
+        let at_primary = &shim.committed_batches.iter().find(|(n, _)| *n == primary);
+        assert!(at_primary
+            .expect("primary committed")
+            .1
+            .shares_txns(&submitted));
     }
 
     #[test]
@@ -1921,6 +1849,13 @@ mod tests {
                 shim.committed_by(NodeId(i))
             );
         }
+        // Nodes 2 and 3 never saw the batch: they rebuilt the id-only
+        // re-issue from bodies fetched from the new primary.
+        for i in [2usize, 3] {
+            let (_, misses, fetches, _, _) = shim.replicas[i].digest_stats();
+            assert_eq!(misses, 2, "node {i} missed one body per batch");
+            assert!(fetches >= 1, "node {i} fetched from the new primary");
+        }
     }
 
     #[test]
@@ -1974,24 +1909,43 @@ mod tests {
         }
     }
 
+    /// A proposal for `batch` at `(view, seq)` MACed by `signer`.
+    fn proposal_by(
+        provider: &std::sync::Arc<CryptoProvider>,
+        signer: NodeId,
+        view: ViewNumber,
+        seq: SeqNum,
+        batch: &Batch,
+    ) -> PrePrepare {
+        let digest = batch_digest(batch);
+        let ids = batch.txn_ids();
+        let header = header_digest("preprepare", view, seq, &digest);
+        PrePrepare {
+            view,
+            seq,
+            digest,
+            bloom: TxnBloom::from_ids(&ids),
+            txn_ids: ids,
+            plan: ShardPlan::Unplanned,
+            mac: provider
+                .handle(ComponentId::Node(signer))
+                .broadcast_mac(&header),
+        }
+    }
+
     #[test]
     fn equivocating_pre_prepare_is_rejected() {
         let mut shim = TestShim::new(4);
         shim.submit_to_primary(batch(0));
         // Forge a second pre-prepare for seq 1 with a different batch,
         // correctly MACed by the primary's handle.
-        let evil = batch(99);
-        let digest = batch_digest(&evil);
-        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
-        let primary_handle = shim.provider.handle(ComponentId::Node(NodeId(0)));
-        let pp = PrePrepare {
-            view: ViewNumber(0),
-            seq: SeqNum(1),
-            digest,
-            batch: evil,
-            plan: ShardPlan::Unplanned,
-            mac: primary_handle.broadcast_mac(&header),
-        };
+        let pp = proposal_by(
+            &shim.provider,
+            NodeId(0),
+            ViewNumber(0),
+            SeqNum(1),
+            &batch(99),
+        );
         let actions = shim.replicas[1].handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
         // The node detects equivocation and asks for a view change rather
         // than accepting the conflicting proposal.
@@ -2003,26 +1957,16 @@ mod tests {
     fn pre_prepare_with_bad_mac_or_wrong_sender_ignored() {
         let mut shim = TestShim::new(4);
         let b = batch(0);
-        let digest = batch_digest(&b);
-        let pp = PrePrepare {
-            view: ViewNumber(0),
-            seq: SeqNum(1),
-            digest,
-            batch: b.clone(),
-            plan: ShardPlan::Unplanned,
-            mac: sbft_types::MacTag::ZERO,
-        };
         // Bad MAC.
+        let pp = PrePrepare {
+            mac: sbft_types::MacTag::ZERO,
+            ..proposal_by(&shim.provider, NodeId(0), ViewNumber(0), SeqNum(1), &b)
+        };
         assert!(shim.replicas[1]
-            .handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp.clone()))
+            .handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp))
             .is_empty());
         // Correct MAC but sent by a non-primary node.
-        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
-        let not_primary = shim.provider.handle(ComponentId::Node(NodeId(2)));
-        let pp2 = PrePrepare {
-            mac: not_primary.broadcast_mac(&header),
-            ..pp
-        };
+        let pp2 = proposal_by(&shim.provider, NodeId(2), ViewNumber(0), SeqNum(1), &b);
         assert!(shim.replicas[1]
             .handle_message(NodeId(2), ConsensusMessage::PrePrepare(pp2))
             .is_empty());
@@ -2462,7 +2406,7 @@ mod tests {
         );
     }
 
-    // ----- digest proposals -------------------------------------------------
+    // ----- proposal reconstruction ------------------------------------------
 
     /// A multi-transaction batch whose bodies can be fed to caches.
     fn wide_batch(counter_base: u64, n: usize) -> Batch {
@@ -2479,8 +2423,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_with_warm_caches_commits_without_fetching() {
-        let mut shim = TestShim::new_digest(4);
+    fn warm_caches_commit_without_fetching() {
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 5);
         shim.offer_to_all(&b);
         shim.submit_to_primary(b.clone());
@@ -2497,8 +2441,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_with_cold_caches_fetches_and_commits() {
-        let mut shim = TestShim::new_digest(4);
+    fn cold_caches_fetch_and_commit() {
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 5);
         // No bodies offered anywhere: every replica misses everything and
         // fetches from the primary inside the same message cascade.
@@ -2516,12 +2460,12 @@ mod tests {
         let (_, _, _, fills, _) = shim.replicas[0].digest_stats();
         assert_eq!(fills, 3, "the primary served one fill per replica");
         // Fetched bodies were promoted into the caches after verification.
-        assert_eq!(shim.replicas[1].body_cache_len(), 5);
+        assert_eq!(shim.replicas[1].cached_bodies(), 5);
     }
 
     #[test]
     fn offer_body_completes_a_pending_reconstruction() {
-        let mut shim = TestShim::new_digest(4);
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 3);
         // Warm all but one body on node 1 so the proposal leaves a gap.
         for txn in &b.txns()[..2] {
@@ -2531,15 +2475,13 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
-            .expect("digest proposal broadcast");
-        let on_dpp = shim.replicas[1].handle_message(NodeId(0), proposal);
+            .expect("proposal broadcast");
+        let on_pp = shim.replicas[1].handle_message(NodeId(0), proposal);
         assert!(
-            on_dpp
+            on_pp
                 .iter()
                 .any(|a| matches!(a, ConsensusAction::Send(_, ConsensusMessage::BatchFetch(f)) if f.missing.len() == 1)),
             "the gap must trigger a one-body fetch"
@@ -2558,18 +2500,18 @@ mod tests {
 
     #[test]
     fn lying_primary_digest_falls_back_and_is_counted() {
-        let mut shim = TestShim::new_digest(4);
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 3);
         shim.offer_to_all(&b);
         // The primary advertises a digest that does not match the bodies.
         let wrong = Digest::from_bytes([9; 32]);
         let ids = b.txn_ids();
-        let header = header_digest("digest-preprepare", ViewNumber(0), SeqNum(1), &wrong);
+        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &wrong);
         let mac = shim
             .provider
             .handle(ComponentId::Node(NodeId(0)))
             .broadcast_mac(&header);
-        let dpp = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
+        let pp = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: wrong,
@@ -2578,7 +2520,7 @@ mod tests {
             plan: ShardPlan::Unplanned,
             mac,
         });
-        let actions = shim.replicas[1].handle_message(NodeId(0), dpp);
+        let actions = shim.replicas[1].handle_message(NodeId(0), pp);
         // No vote; instead the full-batch fallback goes out and the
         // mismatch is pinned on the primary.
         assert!(
@@ -2616,7 +2558,7 @@ mod tests {
 
     #[test]
     fn poisoned_fill_is_quarantined_and_the_filler_blamed() {
-        let mut shim = TestShim::new_digest(4);
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 3);
         // Node 1 holds all bodies but the last.
         for txn in &b.txns()[..2] {
@@ -2626,12 +2568,10 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
-            .expect("digest proposal broadcast");
+            .expect("proposal broadcast");
         let _ = shim.replicas[1].handle_message(NodeId(0), proposal);
         // Node 2 answers the fetch with a wrong body under the right id.
         let missing_id = b.txns()[2].id;
@@ -2658,7 +2598,7 @@ mod tests {
             "the mismatch counts against the filler"
         );
         assert_eq!(
-            shim.replicas[1].body_cache_len(),
+            shim.replicas[1].cached_bodies(),
             2,
             "the poisoned body must never enter the shared cache"
         );
@@ -2693,28 +2633,21 @@ mod tests {
     }
 
     #[test]
-    fn equivocating_digest_proposals_trigger_view_change() {
-        let mut shim = TestShim::new_digest(4);
-        let b1 = wide_batch(0, 3);
-        let b2 = wide_batch(100, 3);
-        let make = |batch: &Batch, provider: &std::sync::Arc<CryptoProvider>| {
-            let digest = batch_digest(batch);
-            let ids = batch.txn_ids();
-            let header = header_digest("digest-preprepare", ViewNumber(0), SeqNum(1), &digest);
-            ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
-                view: ViewNumber(0),
-                seq: SeqNum(1),
-                digest,
-                bloom: TxnBloom::from_ids(&ids),
-                txn_ids: ids,
-                plan: ShardPlan::Unplanned,
-                mac: provider
-                    .handle(ComponentId::Node(NodeId(0)))
-                    .broadcast_mac(&header),
-            })
+    fn equivocating_in_flight_proposals_trigger_view_change() {
+        // The first proposal is still reconstructing (cold cache) when the
+        // second, different one arrives at the same sequence number.
+        let mut shim = TestShim::new(4);
+        let make = |b: &Batch| {
+            ConsensusMessage::PrePrepare(proposal_by(
+                &shim.provider,
+                NodeId(0),
+                ViewNumber(0),
+                SeqNum(1),
+                b,
+            ))
         };
-        let first = make(&b1, &shim.provider);
-        let second = make(&b2, &shim.provider);
+        let first = make(&wide_batch(0, 3));
+        let second = make(&wide_batch(100, 3));
         let _ = shim.replicas[1].handle_message(NodeId(0), first);
         let actions = shim.replicas[1].handle_message(NodeId(0), second);
         assert!(
@@ -2729,25 +2662,26 @@ mod tests {
 
     #[test]
     fn gc_bodies_keeps_only_protected_ids() {
-        let mut shim = TestShim::new_digest(4);
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 4);
         for txn in b.txns() {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
-        assert_eq!(shim.replicas[1].body_cache_len(), 4);
+        assert_eq!(shim.replicas[1].cached_bodies(), 4);
         let protected: HashSet<TxnId> = b.txns()[..2].iter().map(|t| t.id).collect();
         shim.replicas[1].gc_bodies(&protected);
-        assert_eq!(shim.replicas[1].body_cache_len(), 2);
+        assert_eq!(shim.replicas[1].cached_bodies(), 2);
         shim.replicas[1].gc_bodies(&HashSet::new());
-        assert_eq!(shim.replicas[1].body_cache_len(), 0);
+        assert_eq!(shim.replicas[1].cached_bodies(), 0);
     }
 
     #[test]
-    fn digest_prepared_proposals_survive_view_change_as_full_reissues() {
+    fn newview_reissues_are_proposals_rebuilt_from_the_log() {
         // A proposal that reconstructed and prepared (but did not commit)
-        // must survive the view change: the new primary holds the
-        // reconstructed batch and re-issues it as a *full* pre-prepare.
-        let mut shim = TestShim::new_digest(4);
+        // must survive the view change: the new primary re-issues it as an
+        // ordinary proposal (ids, no bodies), and replicas that prepared
+        // it rebuild it from their logs without fetching.
+        let mut shim = TestShim::new(4);
         let b = wide_batch(0, 3);
         shim.offer_to_all(&b);
         // Nodes 0..3 exchange the proposal and prepares, but commits are
@@ -2756,12 +2690,10 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
-            .expect("digest proposal broadcast");
+            .expect("proposal broadcast");
         let mut prepares: Vec<(NodeId, ConsensusMessage)> = actions
             .iter()
             .filter_map(|a| match a {
@@ -2787,8 +2719,12 @@ mod tests {
             }
         }
         assert!(shim.replicas[1].log().entry(SeqNum(1)).unwrap().prepared);
-        // View change: node 1 becomes primary of view 1 and must re-issue
-        // the prepared request with its full body.
+        // The bodies age out of every cache: only the logs hold the batch.
+        for r in &mut shim.replicas {
+            r.gc_bodies(&HashSet::new());
+        }
+        // View change: node 1 becomes primary of view 1 and re-issues the
+        // prepared request.
         let mut vc_msgs = Vec::new();
         for i in [1u32, 2, 3] {
             let acts = shim.replicas[i as usize].request_view_change();
@@ -2798,19 +2734,39 @@ mod tests {
                 }
             }
         }
-        let mut reissued_full = false;
+        let mut new_view = None;
         for (from, vc) in vc_msgs {
             let acts = shim.replicas[1].handle_message(from, vc.clone());
-            for a in &acts {
-                if let ConsensusAction::Broadcast(ConsensusMessage::NewView(nv)) = a {
-                    reissued_full =
-                        !nv.reissued.is_empty() && nv.reissued.iter().all(|pp| pp.batch == b);
+            for a in acts {
+                if let ConsensusAction::Broadcast(m @ ConsensusMessage::NewView(_)) = a {
+                    new_view = Some(m);
                 }
             }
         }
-        assert!(
-            reissued_full,
-            "the new primary must re-issue the reconstructed batch in full"
-        );
+        let new_view = new_view.expect("node 1 installs view 1");
+        let ConsensusMessage::NewView(nv) = &new_view else {
+            unreachable!()
+        };
+        assert_eq!(nv.reissued.len(), 1);
+        assert_eq!(nv.reissued[0].txn_ids, b.txn_ids(), "ids, not bodies");
+        assert_eq!(nv.reissued[0].digest, batch_digest(&b));
+        for i in [2usize, 3] {
+            let acts = shim.replicas[i].handle_message(NodeId(1), new_view.clone());
+            assert!(
+                acts.iter().any(|a| matches!(
+                    a,
+                    ConsensusAction::Broadcast(ConsensusMessage::Prepare(p))
+                        if p.view == ViewNumber(1) && p.seq == SeqNum(1)
+                )),
+                "node {i} must vote for the re-issue in view 1"
+            );
+            assert!(
+                !acts.iter().any(|a| matches!(
+                    a,
+                    ConsensusAction::Send(_, ConsensusMessage::BatchFetch(_))
+                )),
+                "node {i} rebuilds the re-issue from its log"
+            );
+        }
     }
 }

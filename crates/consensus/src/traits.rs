@@ -81,11 +81,18 @@ pub trait OrderingProtocol {
         RecoveryStats::default()
     }
 
+    /// Whether proposals carry ids instead of bodies, so every node keeps
+    /// a body cache fed by the client broadcast (PBFT). Clients of such a
+    /// protocol address every node; the others address the primary.
+    fn caches_bodies(&self) -> bool {
+        false
+    }
+
     /// Offers a transaction body observed from client submission to the
-    /// protocol's body cache, feeding digest-proposal reconstruction. May
-    /// return actions when the body completes an in-flight reconstruction
-    /// (the proposal can race ahead of the client broadcast). Protocols
-    /// without a digest mode ignore it.
+    /// protocol's body cache, feeding proposal reconstruction. May return
+    /// actions when the body completes an in-flight reconstruction (the
+    /// proposal can race ahead of the client broadcast). Protocols without
+    /// a body cache ignore it.
     fn offer_body(&mut self, txn: Transaction) -> Vec<ConsensusAction> {
         let _ = txn;
         Vec::new()
@@ -98,14 +105,14 @@ pub trait OrderingProtocol {
         let _ = protected;
     }
 
-    /// Sequence numbers of digest proposals still waiting for bodies
-    /// (tests and the retransmission drivers). Empty for protocols
-    /// without a digest mode.
+    /// Sequence numbers of proposals still waiting for bodies (tests and
+    /// the retransmission drivers). Empty for protocols without a body
+    /// cache.
     fn pending_reconstructions(&self) -> Vec<SeqNum> {
         Vec::new()
     }
 
-    /// Transaction bodies currently cached for digest reconstruction
+    /// Transaction bodies currently cached for proposal reconstruction
     /// (tests and memory accounting). Zero for protocols without a body
     /// cache.
     fn cached_bodies(&self) -> usize {

@@ -271,7 +271,7 @@ impl AttackInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_consensus::messages::{batch_digest, PrePrepare};
+    use sbft_consensus::messages::{batch_digest, PrePrepare, TxnBloom};
     use sbft_consensus::ConsensusMessage;
     use sbft_types::{
         Batch, ClientId, ComponentId, Key, MacTag, Operation, SeqNum, Transaction, TxnId,
@@ -283,15 +283,16 @@ mod tests {
             TxnId::new(ClientId(0), 0),
             vec![Operation::Read(Key(1))],
         ));
-        let digest = batch_digest(&batch);
+        let txn_ids = batch.txn_ids();
         Action::send(
             ComponentId::Node(NodeId(from)),
             Destination::AllNodes,
             ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(PrePrepare {
                 view: ViewNumber(0),
                 seq: SeqNum(1),
-                digest,
-                batch,
+                digest: batch_digest(&batch),
+                bloom: TxnBloom::from_ids(&txn_ids),
+                txn_ids,
                 plan: ShardPlan::Unplanned,
                 mac: MacTag::ZERO,
             })),

@@ -2,15 +2,25 @@
 //!
 //! "Any user that accesses the edge application becomes a client in our
 //! system" (Section IV-A). A client signs its transaction, sends it to the
-//! shim primary of the current view, and waits for a `RESPONSE` from the
-//! trusted verifier. If the client timer `τ_m` expires, the client forwards
-//! the request directly to the verifier and keeps re-transmitting with
-//! exponential back-off until it receives a `RESPONSE` (Figure 4,
-//! client role).
+//! shim, and waits for a `RESPONSE` from the trusted verifier. If the
+//! client timer `τ_m` expires, the client forwards the request directly to
+//! the verifier and keeps re-transmitting with exponential back-off until
+//! it receives a `RESPONSE` (Figure 4, client role).
+//!
+//! Who a client addresses depends on the shim protocol, and is fixed when
+//! the deployment is built:
+//!
+//! * **PBFT** clients address every shim node. The primary orders the
+//!   request; every other node caches the body, because PBFT proposals
+//!   carry transaction ids and replicas rebuild batches from what the
+//!   clients sent them. After a view change the new primary receives
+//!   every new request directly, so no client has to learn about it.
+//! * **CFT** and **NoShim** clients address the initial primary, node 0.
+//!   A non-primary that receives a request forwards it to the primary.
 
 use crate::events::{Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer};
 use sbft_crypto::CryptoHandle;
-use sbft_types::{ClientId, ComponentId, NodeId, SimDuration, Transaction, TxnId, TxnOutcome};
+use sbft_types::{ClientId, ComponentId, SimDuration, Transaction, TxnId, TxnOutcome};
 use std::collections::HashMap;
 
 /// State of one outstanding request.
@@ -25,7 +35,8 @@ struct Outstanding {
 pub struct ClientRole {
     id: ClientId,
     crypto: CryptoHandle,
-    primary: NodeId,
+    /// Where requests go: every shim node (PBFT) or the primary.
+    target: Destination,
     base_timeout: SimDuration,
     backoff_factor: f64,
     outstanding: HashMap<TxnId, Outstanding>,
@@ -35,12 +46,12 @@ pub struct ClientRole {
 }
 
 impl ClientRole {
-    /// Creates a client that will submit to `primary`.
+    /// Creates a client that will submit to `target`.
     #[must_use]
     pub fn new(
         id: ClientId,
         crypto: CryptoHandle,
-        primary: NodeId,
+        target: Destination,
         base_timeout: SimDuration,
         backoff_factor: f64,
     ) -> Self {
@@ -48,7 +59,7 @@ impl ClientRole {
         ClientRole {
             id,
             crypto,
-            primary,
+            target,
             base_timeout,
             backoff_factor,
             outstanding: HashMap::new(),
@@ -88,13 +99,7 @@ impl ClientRole {
         self.outstanding.len()
     }
 
-    /// Updates the primary this client targets (clients learn of view
-    /// changes from responses or out of band; the harness updates them).
-    pub fn set_primary(&mut self, primary: NodeId) {
-        self.primary = primary;
-    }
-
-    /// Submits a transaction: sign it, send `⟨T⟩_C` to the primary, and
+    /// Submits a transaction: sign it, send `⟨T⟩_C` to the shim, and
     /// start the client timer `τ_m` (Figure 3 line 1, Figure 4 line 1).
     pub fn submit(&mut self, txn: Transaction) -> Vec<Action> {
         assert_eq!(
@@ -118,7 +123,7 @@ impl ClientRole {
         vec![
             Action::send(
                 ComponentId::Client(self.id),
-                Destination::Node(self.primary),
+                self.target,
                 ProtocolMessage::ClientRequest(request),
             ),
             Action::StartTimer {
@@ -184,14 +189,14 @@ mod tests {
     use super::*;
     use crate::events::ResponseMessage;
     use sbft_crypto::CryptoProvider;
-    use sbft_types::{Key, Operation, SeqNum, Signature};
+    use sbft_types::{Key, NodeId, Operation, SeqNum, Signature};
 
     fn client() -> ClientRole {
         let provider = CryptoProvider::new(3);
         ClientRole::new(
             ClientId(7),
             provider.handle(ComponentId::Client(ClientId(7))),
-            NodeId(0),
+            Destination::Node(NodeId(0)),
             SimDuration::from_millis(100),
             2.0,
         )

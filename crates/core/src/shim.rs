@@ -140,6 +140,7 @@ pub struct ShimNode {
     bad_state_responses: Counter,
     state_request_retries: Counter,
     catch_ups: Counter,
+    view_changes: Counter,
 }
 
 impl ShimNode {
@@ -217,6 +218,7 @@ impl ShimNode {
             bad_state_responses: Counter::new(),
             state_request_retries: Counter::new(),
             catch_ups: Counter::new(),
+            view_changes: Counter::new(),
         }
     }
 
@@ -305,6 +307,7 @@ impl ShimNode {
         self.state_request_retries =
             registry.counter(&format!("shim.{id}.faults.state_request_retries"));
         self.catch_ups = registry.counter(&format!("shim.{id}.faults.catch_ups"));
+        self.view_changes = registry.counter(&format!("shim.{id}.view_changes"));
         self.batcher
             .register_metrics(registry, &format!("shim.{id}"));
         self.invoker.register_metrics(registry);
@@ -363,6 +366,12 @@ impl ShimNode {
         self.catch_ups.get()
     }
 
+    /// Views this node installed after the initial one.
+    #[must_use]
+    pub fn view_changes(&self) -> u64 {
+        self.view_changes.get()
+    }
+
     /// Whether this node is still mid-recovery (restarted but its peer
     /// state transfer has not completed yet).
     #[must_use]
@@ -390,14 +399,14 @@ impl ShimNode {
         self.seen_txns.len()
     }
 
-    /// Digest proposals still waiting for transaction bodies (empty when
-    /// digest proposals are off or the protocol has no digest mode).
+    /// Proposals still waiting for transaction bodies (always empty for
+    /// protocols without a body cache).
     #[must_use]
     pub fn pending_reconstructions(&self) -> Vec<SeqNum> {
         self.ordering.pending_reconstructions()
     }
 
-    /// Transaction bodies cached for digest reconstruction (tests and
+    /// Transaction bodies cached for proposal reconstruction (tests and
     /// memory accounting).
     #[must_use]
     pub fn cached_bodies(&self) -> usize {
@@ -406,8 +415,8 @@ impl ShimNode {
 
     /// The batch this node committed at `seq`, while it is still tracked
     /// (entries are released to `validated_txns` once the verifier reports
-    /// the batch validated). Lets equivalence tests compare committed
-    /// content across proposal modes without a wire-level batch copy.
+    /// the batch validated). Lets equivalence tests compare the content a
+    /// replica committed without a wire-level batch copy.
     #[must_use]
     pub fn committed_batch(&self, seq: SeqNum) -> Option<&sbft_types::Batch> {
         self.committed.get(&seq).map(|e| &e.batch)
@@ -470,18 +479,19 @@ impl ShimNode {
             ) {
                 return Vec::new(); // not well-formed
             }
-            if self.config.digest_proposals {
-                // Bandwidth-frugal ordering: clients broadcast their
-                // requests to every shim node, so a non-primary seeds its
-                // body cache instead of relaying to the primary. The offer
-                // may complete an in-flight digest reconstruction (the
-                // proposal can race ahead of the client broadcast), in
-                // which case consensus actions come back.
+            if self.ordering.caches_bodies() {
+                // Clients of a body-caching protocol address every shim
+                // node, so a non-primary seeds its body cache instead of
+                // relaying to the primary. The offer may complete an
+                // in-flight reconstruction (the proposal can race ahead of
+                // the client broadcast), in which case consensus actions
+                // come back.
                 let actions = self.ordering.offer_body(req.txn.clone());
                 return self.translate(actions);
             }
-            // Clients normally target the primary; a node that is not the
-            // primary forwards the request (e.g. after a view change).
+            // The baselines' clients target the primary; a node that is
+            // not the primary forwards the request (e.g. after a view
+            // change).
             self.requests_forwarded.inc();
             return vec![Action::send(
                 self.component(),
@@ -544,10 +554,10 @@ impl ShimNode {
                 .push(txn.id);
         }
         let mut offered_actions = Vec::new();
-        if self.config.digest_proposals && newly_seen {
+        if newly_seen && self.ordering.caches_bodies() {
             // The primary caches the body too: if the view changes before
-            // this transaction is proposed, the new primary's digest
-            // proposal finds the body locally instead of fetching it.
+            // this transaction is proposed, the new primary's proposal
+            // finds the body locally instead of fetching it.
             let actions = self.ordering.offer_body(txn.clone());
             offered_actions = self.translate(actions);
         }
@@ -700,6 +710,7 @@ impl ShimNode {
                     out.extend(self.on_committed(view, seq, batch, plan, certificate));
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
+                    self.view_changes.inc();
                     out.extend(self.wal_on_view_installed(view));
                     out.extend(self.on_view_installed());
                 }
@@ -714,7 +725,7 @@ impl ShimNode {
     // ---- durability -----------------------------------------------------------
 
     /// Logs outgoing protocol steps that must survive a crash: a released
-    /// proposal (buffered — it is recoverable from peers) and this node's
+    /// proposal (buffered — the batch is recoverable from peers) and this node's
     /// COMMIT vote (synced — the vote must not be forgotten once sent,
     /// or a restarted replica could vote differently in the same view).
     fn wal_on_broadcast(&mut self, msg: &ConsensusMessage) -> Vec<Action> {
@@ -727,21 +738,6 @@ impl ShimNode {
                     seq: pp.seq,
                     view: pp.view,
                     digest: pp.digest,
-                });
-                self.wal_appends.inc();
-                vec![Action::Persist {
-                    bytes,
-                    fsync: false,
-                }]
-            }
-            // A digest proposal releases the batch just like a full one —
-            // the WAL records the same (seq, view, digest) triple; the
-            // bodies are recoverable from peers either way.
-            ConsensusMessage::DigestPrePrepare(dp) => {
-                let bytes = wal.append(&WalRecord::Released {
-                    seq: dp.seq,
-                    view: dp.view,
-                    digest: dp.digest,
                 });
                 self.wal_appends.inc();
                 vec![Action::Persist {
@@ -877,16 +873,13 @@ impl ShimNode {
             self.planner = Some(BestEffortPlanner::new());
         }
         if self.ordering.name() == "PBFT" {
-            self.ordering = Box::new(
-                PbftReplica::new(
-                    self.me,
-                    self.config.fault,
-                    self.crypto.provider().handle(self.component()),
-                    self.config.timers.node_timeout,
-                    self.config.timers.checkpoint_interval,
-                )
-                .with_digest_proposals(self.config.digest_proposals),
-            );
+            self.ordering = Box::new(PbftReplica::new(
+                self.me,
+                self.config.fault,
+                self.crypto.provider().handle(self.component()),
+                self.config.timers.node_timeout,
+                self.config.timers.checkpoint_interval,
+            ));
             if let Some(registry) = self.metrics_registry.clone() {
                 self.ordering
                     .register_metrics(&registry, &format!("shim.{}", self.me.0));
@@ -1210,7 +1203,7 @@ impl ShimNode {
             }
         }
         self.expire_never_validated(cutoff);
-        if self.config.digest_proposals {
+        if self.ordering.caches_bodies() {
             // Body-cache retention rides the same checkpoint rhythm: keep
             // bodies for ids the node still tracks (suppression window,
             // retained validated batches, local commits, batcher lanes);
@@ -1330,6 +1323,8 @@ mod tests {
         nodes: Vec<ShimNode>,
         provider: Arc<CryptoProvider>,
         config: SystemConfig,
+        /// Every node's counters, re-homed here by [`make_shim`].
+        registry: Arc<Registry>,
     }
 
     /// Default test configuration: a 4-node shim batching 2 transactions.
@@ -1339,8 +1334,11 @@ mod tests {
         config
     }
 
+    /// A PBFT shim whose counters are re-homed into a shared registry, so
+    /// tests can read the reconstruction statistics.
     fn make_shim(config: SystemConfig) -> Shim {
         let provider = CryptoProvider::new(21);
+        let registry = Arc::new(Registry::new());
         let nodes = (0..config.fault.n_r as u32)
             .map(|i| {
                 let ordering: Box<dyn OrderingProtocol + Send> = Box::new(PbftReplica::new(
@@ -1350,19 +1348,34 @@ mod tests {
                     config.timers.node_timeout,
                     config.timers.checkpoint_interval,
                 ));
-                ShimNode::new(
+                let mut node = ShimNode::new(
                     NodeId(i),
                     config.clone(),
                     provider.handle(ComponentId::Node(NodeId(i))),
                     ordering,
-                )
+                );
+                node.register_metrics(&registry);
+                node
             })
             .collect();
         Shim {
             nodes,
             provider,
             config,
+            registry,
         }
+    }
+
+    /// The proposal a primary's action list broadcasts, if any.
+    fn proposal_of(actions: &[Action]) -> Option<sbft_consensus::PrePrepare> {
+        actions
+            .iter()
+            .find_map(|a| match a.as_send().map(|e| &e.msg) {
+                Some(ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp))) => {
+                    Some(pp.clone())
+                }
+                _ => None,
+            })
     }
 
     fn signed_request(provider: &Arc<CryptoProvider>, client: u32, counter: u64) -> ClientRequest {
@@ -1456,24 +1469,22 @@ mod tests {
 
     #[test]
     fn execute_requests_share_batch_and_certificate_with_consensus() {
-        // Zero-copy hand-off, shim layer: the batch embedded in the
-        // primary's PREPREPARE and the batches carried by every spawned
-        // EXECUTE message are the same Arc allocation, and all EXECUTE
-        // copies share one certificate allocation.
+        // Zero-copy hand-off, shim layer: the batch the primary committed
+        // and the batches carried by every spawned EXECUTE message are the
+        // same Arc allocation, and all EXECUTE copies share one
+        // certificate allocation.
         let mut shim = make_shim(base_config());
         let provider = Arc::clone(&shim.provider);
         let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
         let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = a1
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("primary broadcasts a PREPREPARE");
+        let seq = proposal_of(&a1)
+            .expect("primary broadcasts a PREPREPARE")
+            .seq;
         let external = run_consensus(&mut shim, 0, a1);
+        let proposed = shim.nodes[0]
+            .committed_batch(seq)
+            .expect("the primary committed its proposal")
+            .clone();
         let executes: Vec<_> = external
             .iter()
             .filter_map(|(_, a)| match a {
@@ -1548,17 +1559,13 @@ mod tests {
         // The second (honest) request fills the batch and triggers submit.
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("pruned batch is still proposed");
-        assert_eq!(proposed.len(), 1, "the forged transaction was pruned");
-        assert!(proposed.txn_ids().iter().all(|id| *id != forged_id));
+        let proposed = proposal_of(&actions).expect("pruned batch is still proposed");
+        assert_eq!(
+            proposed.txn_ids.len(),
+            1,
+            "the forged transaction was pruned"
+        );
+        assert!(proposed.txn_ids.iter().all(|id| *id != forged_id));
         assert_eq!(shim.nodes[0].rejected_txns(), 1);
         // The forged id was released from duplicate suppression, so the
         // honest client can still get the same transaction ordered.
@@ -1566,16 +1573,8 @@ mod tests {
         let _ = shim.nodes[0].on_client_request(&honest_retry, SimTime::ZERO);
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 2, 0), SimTime::ZERO);
-        let reproposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("second batch proposed");
-        assert!(reproposed.txn_ids().contains(&forged_id));
+        let reproposed = proposal_of(&actions).expect("second batch proposed");
+        assert!(reproposed.txn_ids.contains(&forged_id));
     }
 
     #[test]
@@ -1597,17 +1596,8 @@ mod tests {
         // triggers submit.
         let genuine = signed_request(&provider, 0, 0);
         let actions = shim.nodes[0].on_client_request(&genuine, SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("the genuine transaction is proposed");
-        assert_eq!(proposed.len(), 1);
-        assert_eq!(proposed.txn_ids(), vec![id]);
+        let proposed = proposal_of(&actions).expect("the genuine transaction is proposed");
+        assert_eq!(proposed.txn_ids, vec![id]);
         assert_eq!(shim.nodes[0].rejected_txns(), 1, "the forgery was pruned");
         // The genuine entry kept its duplicate suppression: a retry with
         // the same (valid, deterministic) signature is dropped.
@@ -1646,15 +1636,9 @@ mod tests {
         // payload plus the filler — the equivocation was dropped.
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("batch proposed");
+        let seq = proposal_of(&actions).expect("batch proposed").seq;
+        let _ = run_consensus(&mut shim, 0, actions);
+        let proposed = shim.nodes[0].committed_batch(seq).expect("batch committed");
         assert_eq!(proposed.len(), 2);
         assert_eq!(proposed.txns()[0].ops, first_ops);
         assert_eq!(shim.nodes[0].rejected_txns(), 0, "nothing was pruned");
@@ -1892,17 +1876,13 @@ mod tests {
         let a1 = shim.nodes[0].on_client_request(&mk(1, foreign), SimTime::ZERO);
         assert!(a1.is_empty(), "the foreign lane is not full yet");
         let actions = shim.nodes[0].on_client_request(&mk(2, second), SimTime::ZERO);
-        let plan = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some((pp.plan, pp.batch.clone())),
-                _ => None,
-            })
-            .expect("the home lane releases a batch");
-        assert_eq!(plan.0, sbft_types::ShardPlan::SingleHome(home));
-        assert_eq!(plan.1.len(), 2, "only the two same-home transactions");
+        let proposal = proposal_of(&actions).expect("the home lane releases a batch");
+        assert_eq!(proposal.plan, sbft_types::ShardPlan::SingleHome(home));
+        assert_eq!(
+            proposal.txn_ids.len(),
+            2,
+            "only the two same-home transactions"
+        );
         // Run consensus; the primary's EXECUTE messages carry the tag.
         let external = run_consensus(&mut shim, 0, actions);
         let executes: Vec<_> = external
@@ -1953,28 +1933,38 @@ mod tests {
         };
         let _ = shim.nodes[0].on_client_request(&mk(0), SimTime::ZERO);
         let actions = shim.nodes[0].on_client_request(&mk(1), SimTime::ZERO);
-        let plan = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.plan),
-                _ => None,
-            })
-            .expect("the cross lane releases a batch");
-        assert_eq!(plan, sbft_types::ShardPlan::CrossHome);
+        let proposal = proposal_of(&actions).expect("the cross lane releases a batch");
+        assert_eq!(proposal.plan, sbft_types::ShardPlan::CrossHome);
     }
 
     #[test]
-    fn non_primary_forwards_requests_to_primary() {
-        let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let actions =
-            shim.nodes[2].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+    fn non_primary_forwards_requests_only_without_a_body_cache() {
+        // A CFT non-primary relays the request to the primary.
+        let config = base_config();
+        let provider = CryptoProvider::new(21);
+        let mut cft = ShimNode::new(
+            NodeId(2),
+            config.clone(),
+            provider.handle(ComponentId::Node(NodeId(2))),
+            Box::new(CftReplica::new(
+                NodeId(2),
+                config.fault,
+                config.timers.node_timeout,
+            )),
+        );
+        let actions = cft.on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
         let env = actions[0].as_send().unwrap();
         assert_eq!(env.to, Destination::Node(NodeId(0)));
         assert_eq!(env.msg.kind(), "CLIENT-REQUEST");
-        assert_eq!(shim.nodes[2].requests_forwarded(), 1);
+        assert_eq!(cft.requests_forwarded(), 1);
+        // A PBFT non-primary caches the body instead: its clients address
+        // every node, so the primary has the request already.
+        let mut shim = make_shim(base_config());
+        let actions =
+            shim.nodes[2].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        assert!(actions.is_empty());
+        assert_eq!(shim.nodes[2].requests_forwarded(), 0);
+        assert_eq!(shim.nodes[2].cached_bodies(), 1);
     }
 
     #[test]
@@ -2367,48 +2357,10 @@ mod tests {
         assert_eq!(node.region_outages_detected(), 2);
     }
 
-    // ---- digest proposals (bandwidth-frugal ordering) ----------------------
+    // ---- proposal reconstruction ------------------------------------------
 
-    /// A 4-node PBFT shim with digest proposals on, counters re-homed into
-    /// a shared registry so tests can read the digest cache statistics.
-    fn make_digest_shim(mut config: SystemConfig) -> (Shim, Arc<Registry>) {
-        config.digest_proposals = true;
-        let provider = CryptoProvider::new(21);
-        let registry = Arc::new(Registry::new());
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(
-                    PbftReplica::new(
-                        NodeId(i),
-                        config.fault,
-                        provider.handle(ComponentId::Node(NodeId(i))),
-                        config.timers.node_timeout,
-                        config.timers.checkpoint_interval,
-                    )
-                    .with_digest_proposals(true),
-                );
-                let mut node = ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                );
-                node.register_metrics(&registry);
-                node
-            })
-            .collect();
-        (
-            Shim {
-                nodes,
-                provider,
-                config,
-            },
-            registry,
-        )
-    }
-
-    /// Delivers `req` to every shim node (digest-mode clients broadcast so
-    /// replicas can seed their body caches), returning the primary's
+    /// Delivers `req` to every shim node (PBFT clients address every node
+    /// so replicas can seed their body caches), returning the primary's
     /// actions and asserting the replicas neither forward nor propose.
     fn broadcast_request(shim: &mut Shim, req: &ClientRequest) -> Vec<Action> {
         let mut primary_actions = Vec::new();
@@ -2427,14 +2379,15 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_with_client_broadcast_commits_without_forwarding_or_fetching() {
-        let (mut shim, registry) = make_digest_shim(base_config());
+    fn client_broadcast_commits_without_forwarding_or_fetching() {
+        let mut shim = make_shim(base_config());
+        let registry = Arc::clone(&shim.registry);
         let provider = Arc::clone(&shim.provider);
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
         assert!(
-            actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")),
-            "the primary proposes by digest, not by body"
+            proposal_of(&actions).is_some(),
+            "the primary proposes the batch by ids"
         );
         let external = run_consensus(&mut shim, 0, actions);
         let commits = external
@@ -2446,7 +2399,7 @@ mod tests {
             assert_eq!(
                 node.requests_forwarded(),
                 0,
-                "digest mode never relays request bodies to the primary"
+                "no node relays request bodies to the primary"
             );
             assert!(node.pending_reconstructions().is_empty());
         }
@@ -2474,16 +2427,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_with_cold_replicas_fetches_bodies_and_commits() {
+    fn cold_replicas_fetch_bodies_and_commit() {
         // Requests reach only the primary (the client broadcast was lost):
         // replicas miss on every body, fetch them from the primary over
         // BATCHFETCH/BATCHFILL, and still commit the identical batch.
-        let (mut shim, registry) = make_digest_shim(base_config());
+        let mut shim = make_shim(base_config());
+        let registry = Arc::clone(&shim.registry);
         let provider = Arc::clone(&shim.provider);
         let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
+        assert!(actions.iter().any(|a| a.sends_kind("PREPREPARE")));
         let external = run_consensus(&mut shim, 0, actions);
         let commits = external
             .iter()
@@ -2513,20 +2467,20 @@ mod tests {
     }
 
     #[test]
-    fn digest_proposal_is_wal_released_like_a_full_one() {
+    fn proposal_is_wal_released_before_it_leaves() {
         let mut config = base_config();
         config.durability = sbft_types::DurabilityConfig::enabled();
-        let (mut shim, _registry) = make_digest_shim(config);
+        let mut shim = make_shim(config);
         let provider = Arc::clone(&shim.provider);
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
         assert_eq!(shim.nodes[0].wal_appends(), 0);
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
-        assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
-        // The digest proposal wrote a buffered Released record before the
+        assert!(actions.iter().any(|a| a.sends_kind("PREPREPARE")));
+        // The proposal wrote a buffered Released record before the
         // broadcast left (plus this node's own synced COMMIT vote later).
         assert!(
             shim.nodes[0].wal_appends() >= 1,
-            "a digest proposal must hit the WAL like a full PREPREPARE"
+            "a proposal must hit the WAL before it leaves"
         );
         assert!(actions
             .iter()
@@ -2542,7 +2496,7 @@ mod tests {
         let mut config = base_config();
         config.workload.batch_size = 1;
         config.timers.checkpoint_interval = 4;
-        let (mut shim, _registry) = make_digest_shim(config);
+        let mut shim = make_shim(config);
         let provider = Arc::clone(&shim.provider);
         for i in 0..40u64 {
             let actions = broadcast_request(&mut shim, &signed_request(&provider, 0, i));

@@ -9,6 +9,7 @@
 
 use crate::attacks::{AttackInjector, ShimAttack};
 use crate::client::ClientRole;
+use crate::events::Destination;
 use crate::shim::ShimNode;
 use crate::verifier::{Verifier, VerifierConfig};
 use sbft_consensus::{CftReplica, NoShim, OrderingProtocol, PbftReplica};
@@ -221,16 +222,13 @@ impl SystemBuilder {
             .map(|i| {
                 let id = NodeId(i);
                 let ordering: Box<dyn OrderingProtocol + Send> = match self.protocol {
-                    ShimProtocol::Pbft => Box::new(
-                        PbftReplica::new(
-                            id,
-                            self.config.fault,
-                            provider.handle(ComponentId::Node(id)),
-                            self.config.timers.node_timeout,
-                            self.config.timers.checkpoint_interval,
-                        )
-                        .with_digest_proposals(self.config.digest_proposals),
-                    ),
+                    ShimProtocol::Pbft => Box::new(PbftReplica::new(
+                        id,
+                        self.config.fault,
+                        provider.handle(ComponentId::Node(id)),
+                        self.config.timers.node_timeout,
+                        self.config.timers.checkpoint_interval,
+                    )),
                     ShimProtocol::Cft => Box::new(CftReplica::new(
                         id,
                         self.config.fault,
@@ -266,14 +264,19 @@ impl SystemBuilder {
             },
         );
 
-        // Clients.
-        let primary = nodes[0].primary();
+        // Clients: PBFT clients address every node (replicas rebuild
+        // proposals from the bodies the clients sent them); the baselines'
+        // clients address the primary.
+        let client_target = match self.protocol {
+            ShimProtocol::Pbft => Destination::AllNodes,
+            ShimProtocol::Cft | ShimProtocol::NoShim => Destination::Node(nodes[0].primary()),
+        };
         let clients = (0..self.num_clients as u32)
             .map(|i| {
                 ClientRole::new(
                     ClientId(i),
                     provider.handle(ComponentId::Client(ClientId(i))),
-                    primary,
+                    client_target,
                     self.config.timers.client_timeout,
                     self.config.timers.client_backoff_factor,
                 )
@@ -367,6 +370,22 @@ mod tests {
         assert_eq!(system.num_nodes(), 4);
         assert_eq!(system.nodes[0].protocol_name(), "CFT");
         assert_eq!(system.cert_quorum(), 0);
+    }
+
+    #[test]
+    fn clients_address_every_node_only_under_pbft() {
+        let target = |protocol| {
+            let mut system = SystemBuilder::new(small_config())
+                .protocol(protocol)
+                .clients(1)
+                .build();
+            let txn = sbft_types::Transaction::new(sbft_types::TxnId::new(ClientId(0), 0), vec![]);
+            let actions = system.clients[0].submit(txn);
+            actions[0].as_send().expect("request send").to
+        };
+        assert_eq!(target(ShimProtocol::Pbft), Destination::AllNodes);
+        assert_eq!(target(ShimProtocol::Cft), Destination::Node(NodeId(0)));
+        assert_eq!(target(ShimProtocol::NoShim), Destination::Node(NodeId(0)));
     }
 
     #[test]

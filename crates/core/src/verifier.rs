@@ -15,7 +15,11 @@
 //! * the **byzantine-abort detection** of Section VI-B for conflicting
 //!   transactions with unknown read-write sets (abort timer per batch,
 //!   `REPLACE` when fewer than `2f_E + 1` executors answered, abort when
-//!   enough answered but results do not match).
+//!   enough answered but results do not match),
+//! * **re-execution at the head of the order** in the other modes: when
+//!   every spawned executor answered and no `f_E + 1` results match, the
+//!   batch is re-spawned once it is next in order (see
+//!   [`Verifier::reexecute_head`]); only a second disagreement aborts it.
 
 use crate::events::{
     AbortMessage, AckMessage, Action, BatchValidated, ClientRequest, Destination, ErrorMessage,
@@ -40,6 +44,12 @@ struct SeqState {
     matched: Option<VerifyMessage>,
     abort_tagged: bool,
     timer_started: bool,
+    /// Every spawned executor answered without an `f_E + 1` match; the
+    /// batch is re-executed once it reaches the head of the order.
+    diverged: bool,
+    /// Executors whose results a re-execution discarded: their (late or
+    /// duplicated) `VERIFY`s are ignored from then on.
+    discarded: BTreeSet<ExecutorId>,
 }
 
 /// Protocol parameters of the verifier, fixed at deployment time.
@@ -104,6 +114,7 @@ pub struct Verifier {
     ignored_verifies: Counter,
     validated_batches: Counter,
     divergent_aborts: Counter,
+    reexecutions: Counter,
     pool_applied_txns: Counter,
     planned_batches: Counter,
     plan_mismatches: Counter,
@@ -131,6 +142,7 @@ impl Verifier {
             ignored_verifies: Counter::new(),
             validated_batches: Counter::new(),
             divergent_aborts: Counter::new(),
+            reexecutions: Counter::new(),
             pool_applied_txns: Counter::new(),
             planned_batches: Counter::new(),
             plan_mismatches: Counter::new(),
@@ -146,6 +158,7 @@ impl Verifier {
         self.ignored_verifies = registry.counter("verifier.ignored_verifies");
         self.validated_batches = registry.counter("verifier.validated_batches");
         self.divergent_aborts = registry.counter("verifier.divergent_aborts");
+        self.reexecutions = registry.counter("verifier.reexecutions");
         self.pool_applied_txns = registry.counter("verifier.pool_applied_txns");
         self.planned_batches = registry.counter("verifier.planned_batches");
         self.plan_mismatches = registry.counter("verifier.plan_mismatches");
@@ -224,6 +237,13 @@ impl Verifier {
     #[must_use]
     pub fn divergent_aborts(&self) -> u64 {
         self.divergent_aborts.get()
+    }
+
+    /// Batches re-executed at the head of the order after their executors
+    /// disagreed.
+    #[must_use]
+    pub fn reexecutions(&self) -> u64 {
+        self.reexecutions.get()
     }
 
     /// Batches applied through the verified ordering-time fast path (a
@@ -337,8 +357,9 @@ impl Verifier {
             self.ignored_verifies.inc();
             return Vec::new();
         }
-        if state.verifies.contains_key(&msg.executor) {
-            // Duplicate VERIFY from the same executor (flooding attack).
+        if state.verifies.contains_key(&msg.executor) || state.discarded.contains(&msg.executor) {
+            // Duplicate VERIFY from the same executor (flooding attack), or
+            // one whose results a re-execution discarded.
             self.ignored_verifies.inc();
             return Vec::new();
         }
@@ -394,9 +415,18 @@ impl Verifier {
                 .max()
                 .unwrap_or(0);
             if best < quorum {
-                state.abort_tagged = true;
-                if state.timer_started {
-                    actions.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
+                // With unknown read-write sets the paper's divergence rule
+                // aborts. Otherwise honest executors disagree only when
+                // they read storage on both sides of an earlier batch's
+                // apply, so the batch gets one re-execution at the head of
+                // the order; a second disagreement aborts it.
+                if track_aborts || !state.discarded.is_empty() {
+                    state.abort_tagged = true;
+                    if state.timer_started {
+                        actions.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
+                    }
+                } else {
+                    state.diverged = true;
                 }
                 actions.extend(self.advance_kmax());
             }
@@ -422,7 +452,38 @@ impl Verifier {
             self.kmax = self.kmax.next();
         }
         self.gc_retry_maps();
+        actions.extend(self.reexecute_head());
         actions
+    }
+
+    /// Re-executes the batch at the head of the order if its executors
+    /// disagreed. Every earlier batch is applied and no later one can be
+    /// until this one is, so the re-spawned executors all read one storage
+    /// state. The disagreeing results are discarded, and the shim is asked
+    /// through `ERROR(k_max)` to spawn the batch again.
+    fn reexecute_head(&mut self) -> Vec<Action> {
+        let seq = self.kmax;
+        let Some(state) = self.pending.get_mut(&seq) else {
+            return Vec::new();
+        };
+        if !state.diverged {
+            return Vec::new();
+        }
+        state.diverged = false;
+        let discarded = std::mem::take(&mut state.verifies);
+        state.discarded.extend(discarded.into_keys());
+        self.reexecutions.inc();
+        let subject = RecoverySubject::Seq(seq);
+        self.outstanding.insert(subject);
+        vec![Action::send(
+            self.me(),
+            Destination::AllNodes,
+            ProtocolMessage::Error(ErrorMessage {
+                subject,
+                request: None,
+                signature: self.sign_marker("error", seq.0, 2),
+            }),
+        )]
     }
 
     /// Whether the worker pool's per-home-shard FIFO ordering is exact
@@ -1369,23 +1430,61 @@ mod tests {
     }
 
     #[test]
-    fn fully_divergent_verifies_abort_deterministically() {
+    fn fully_divergent_verifies_reexecute_once_then_abort() {
         // All three spawned executors answered with three different
-        // digests: no f_E + 1 quorum is possible, so the batch must abort
-        // immediately instead of blocking k_max forever.
+        // digests: no f_E + 1 quorum is possible. The head batch is
+        // re-spawned once through ERROR(k_max); when the second wave
+        // disagrees too, it aborts instead of blocking k_max forever.
         let fx = Fixture::new();
         let mut v = fx.verifier(ConflictHandling::NonConflicting);
         let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 1, 1));
         let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 2, 1));
         let actions = v.on_verify(&fx.verify_msg(3, 1, 0, 3, 1));
+        assert!(actions.iter().any(|a| a.sends_kind("ERROR")));
+        assert!(!actions.iter().any(|a| a.sends_kind("ABORT")));
+        assert_eq!(v.reexecutions(), 1);
+        assert_eq!(v.kmax(), SeqNum(1), "the batch waits for its second wave");
+        // A late copy from the discarded wave does not count.
+        assert!(v.on_verify(&fx.verify_msg(3, 1, 0, 2, 1)).is_empty());
+        let _ = v.on_verify(&fx.verify_msg(4, 1, 0, 4, 1));
+        let _ = v.on_verify(&fx.verify_msg(5, 1, 0, 5, 1));
+        let actions = v.on_verify(&fx.verify_msg(6, 1, 0, 6, 1));
         assert!(actions.iter().any(|a| a.sends_kind("ABORT")));
+        assert!(actions.iter().any(|a| a.sends_kind("ACK")));
         assert_eq!(v.aborted_txns(), 1);
         assert_eq!(v.divergent_aborts(), 1);
+        assert_eq!(v.reexecutions(), 1);
         assert_eq!(
             v.kmax(),
             SeqNum(2),
             "the unmatchable batch no longer blocks"
         );
+    }
+
+    #[test]
+    fn divergent_batch_reexecutes_at_the_head_and_commits() {
+        // Batch 2's executors disagree while batch 1 is still open: no
+        // re-execution yet, since batch 1's apply could still change what
+        // a new wave reads. Once batch 1 applies, batch 2 is re-spawned;
+        // the second wave reads one state, matches and commits.
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let _ = v.on_verify(&fx.verify_msg(1, 2, 0, 1, 1));
+        let _ = v.on_verify(&fx.verify_msg(2, 2, 0, 2, 1));
+        let actions = v.on_verify(&fx.verify_msg(3, 2, 0, 3, 1));
+        assert!(actions.is_empty(), "not at the head yet: {actions:?}");
+        let _ = v.on_verify(&fx.verify_msg(4, 1, 1, 7, 1));
+        let actions = v.on_verify(&fx.verify_msg(5, 1, 1, 7, 1));
+        assert!(actions.iter().any(|a| a.sends_kind("ERROR")));
+        assert_eq!(v.kmax(), SeqNum(2));
+        let _ = v.on_verify(&fx.verify_msg(6, 2, 0, 9, 2));
+        let actions = v.on_verify(&fx.verify_msg(7, 2, 0, 9, 2));
+        assert!(actions.iter().any(|a| a.sends_kind("RESPONSE")));
+        assert!(actions.iter().any(|a| a.sends_kind("ACK")));
+        assert_eq!(v.committed_txns(), 2);
+        assert_eq!(v.aborted_txns(), 0);
+        assert_eq!(v.divergent_aborts(), 0);
+        assert_eq!(v.reexecutions(), 1);
     }
 
     #[test]
@@ -1630,30 +1729,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_abort_policy_rejects_spanning_transactions() {
-        let fx = Fixture::new();
-        let sharding = sbft_types::ShardingConfig {
-            num_shards: 1024,
-            workers: 1,
-            cross_shard_policy: sbft_types::CrossShardPolicy::Abort,
-            ..sbft_types::ShardingConfig::default()
-        };
-        let mut v = fx.verifier_sharded(ConflictHandling::NonConflicting, sharding);
-        // The fixture transaction reads key 1 and writes key 2; with 1024
-        // shards those keys land on different shards.
-        assert_ne!(
-            v.committer().router().shard_of(Key(1)),
-            v.committer().router().shard_of(Key(2)),
-        );
-        let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 42, 1));
-        let actions = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
-        assert!(response_kinds(&actions).contains(&"ABORT"));
-        assert_eq!(v.aborted_txns(), 1);
-        assert_eq!(v.committer().cross_shard_rejections(), 1);
-        assert_ne!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
-    }
-
-    #[test]
     fn retry_maps_truncate_at_the_checkpoint_interval() {
         // Fixture checkpoint interval is 4. Validate 9 batches: the last
         // stable checkpoint k_max passed is 8, so everything at or below
@@ -1722,12 +1797,13 @@ mod tests {
     #[test]
     fn divergent_abort_counter_tracks_whole_batch_divergence() {
         // Count-triggered divergence (all spawned executors answered, no
-        // quorum) increments the counter ...
+        // quorum, in both the first and the re-executed wave) increments
+        // the counter ...
         let fx = Fixture::new();
         let mut v = fx.verifier(ConflictHandling::NonConflicting);
-        let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 1, 1));
-        let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 2, 1));
-        let _ = v.on_verify(&fx.verify_msg(3, 1, 0, 3, 1));
+        for executor in 1..=6 {
+            let _ = v.on_verify(&fx.verify_msg(executor, 1, 0, executor, 1));
+        }
         assert_eq!(v.divergent_aborts(), 1);
         // ... and a matched batch does not.
         let _ = v.on_verify(&fx.verify_msg(1, 2, 0, 5, 1));

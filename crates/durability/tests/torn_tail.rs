@@ -16,6 +16,7 @@ use sbft_types::{
     TxnId, Value, ViewNumber,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// SplitMix64: deterministic corruption points, so a failure replays.
@@ -98,8 +99,17 @@ fn frame_ends(records: &[WalRecord]) -> Vec<usize> {
     ends
 }
 
+/// A scratch path unique to this call: tests run in parallel threads of
+/// one process, so the process id alone would let them share a file.
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sbft-torn-{}-{}.wal", std::process::id(), name))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "sbft-torn-{}-{}-{}.wal",
+        std::process::id(),
+        n,
+        name
+    ))
 }
 
 /// Writes `records` through a real `FileWal` and returns the raw bytes.

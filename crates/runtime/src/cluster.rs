@@ -305,6 +305,7 @@ impl LocalCluster {
 
         // Executor pool thread: spawns an executor object per request and
         // forwards its VERIFY messages to the verifier.
+        let invocations = Arc::new(std::sync::atomic::AtomicU64::new(0));
         {
             let router = router.clone();
             let provider = system.provider.clone();
@@ -312,8 +313,7 @@ impl LocalCluster {
             let n_r = system.config.fault.n_r;
             let cert_quorum = system.cert_quorum();
             let mut next_executor: u64 = 0;
-            let invocations = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let invocations_pool = std::sync::Arc::clone(&invocations);
+            let invocations_pool = Arc::clone(&invocations);
             handles.push(thread::spawn(move || {
                 while let Ok(Work::Item((request, execute))) = pool_rx.recv() {
                     let id = sbft_types::ExecutorId(next_executor);
@@ -438,6 +438,7 @@ impl LocalCluster {
             let _ = handle.join();
         }
         report.pool_applied = pool_applied.load(std::sync::atomic::Ordering::Acquire);
+        report.executor_invocations = invocations.load(std::sync::atomic::Ordering::Relaxed);
         report
     }
 }
@@ -481,6 +482,14 @@ mod tests {
             report.committed
         );
         assert!(report.throughput_tps() > 0.0);
+        // Every committed batch ran at least the f_E + 1 executors whose
+        // matching results the verifier needed (batches of 4 here).
+        assert!(
+            report.executor_invocations >= report.committed / 4 * 2,
+            "pool ran {} executors for {} committed transactions",
+            report.executor_invocations,
+            report.committed
+        );
     }
 
     #[test]
@@ -542,6 +551,17 @@ mod tests {
             Stage::Respond,
         ] {
             assert!(stages.contains(&stage), "missing {stage:?} markers");
+        }
+        // The PBFT proposal carries ids, not bodies; its release is still
+        // marked, once per committed batch.
+        let marks_per_seq = sbft_telemetry::export::marks(&events);
+        for (seq, stage_times) in &marks_per_seq {
+            if stage_times.contains_key(&Stage::CommitQuorum) {
+                assert!(
+                    stage_times.contains_key(&Stage::BatchRelease),
+                    "batch {seq:?} committed without a BatchRelease marker"
+                );
+            }
         }
         // Within one trace the markers must be time-ordered the way the
         // pipeline runs.

@@ -16,10 +16,6 @@
 //!   single-shard fast path — so the observable OCC outcomes are exactly
 //!   those of an unsharded verifier applying the same sequence.
 //!
-//! The [`sbft_types::CrossShardPolicy`] chooses between that locked path
-//! and a strict isolation mode that rejects cross-shard transactions
-//! outright (useful to measure how much coordination costs).
-//!
 //! With the ordering-time shard planner, batches usually arrive tagged
 //! [`sbft_types::ShardPlan::SingleHome`]: after the verifier re-derives
 //! the tag (trust-but-verify, see [`crate::router`]), every transaction
@@ -32,7 +28,7 @@
 use crate::router::{ShardId, ShardRouter};
 use crate::state::ShardState;
 use sbft_storage::{ConcurrencyChecker, OccOutcome, VersionedStore};
-use sbft_types::{CrossShardPolicy, Key, ReadWriteSet, ShardingConfig};
+use sbft_types::{Key, ReadWriteSet, ShardingConfig};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,8 +40,6 @@ pub enum CommitOutcome {
     Applied,
     /// At least one read was stale; nothing was written.
     StaleReads(Vec<Key>),
-    /// The transaction spans shards and the policy forbids coordination.
-    CrossShardRejected,
 }
 
 impl CommitOutcome {
@@ -60,9 +54,7 @@ impl CommitOutcome {
 pub struct ShardedCommitter {
     router: ShardRouter,
     shards: Vec<Arc<ShardState>>,
-    policy: CrossShardPolicy,
     cross_shard_commits: AtomicU64,
-    cross_shard_rejections: AtomicU64,
 }
 
 impl ShardedCommitter {
@@ -77,9 +69,7 @@ impl ShardedCommitter {
         ShardedCommitter {
             router,
             shards,
-            policy: config.cross_shard_policy,
             cross_shard_commits: AtomicU64::new(0),
-            cross_shard_rejections: AtomicU64::new(0),
         }
     }
 
@@ -105,12 +95,6 @@ impl ShardedCommitter {
     #[must_use]
     pub fn cross_shard_commits(&self) -> u64 {
         self.cross_shard_commits.load(Ordering::Relaxed)
-    }
-
-    /// Cross-shard transactions rejected by the isolation policy.
-    #[must_use]
-    pub fn cross_shard_rejections(&self) -> u64 {
-        self.cross_shard_rejections.load(Ordering::Relaxed)
     }
 
     /// Transactions committed across all shards.
@@ -202,11 +186,6 @@ impl ShardedCommitter {
         for shard in &shards {
             shard.record_cross_shard();
         }
-        if self.policy == CrossShardPolicy::Abort {
-            self.cross_shard_rejections.fetch_add(1, Ordering::Relaxed);
-            shards[0].record_abort();
-            return CommitOutcome::CrossShardRejected;
-        }
         // Phase one: acquire every involved execution lock in ascending
         // ShardId order (the BTreeSet iteration order).
         let guards: Vec<_> = shards.iter().map(|s| s.exec_lock()).collect();
@@ -246,7 +225,6 @@ mod tests {
             &ShardingConfig {
                 num_shards,
                 workers: 1,
-                cross_shard_policy: CrossShardPolicy::LockOrdered,
                 ..ShardingConfig::default()
             },
         )
@@ -334,35 +312,6 @@ mod tests {
         assert_eq!(c.aborted(), 1, "exactly one side aborts");
         assert_eq!(store.get(a).unwrap().value, Value::new(11));
         assert_eq!(store.get(b).unwrap().value, Value::new(11));
-    }
-
-    #[test]
-    fn abort_policy_rejects_cross_shard_transactions() {
-        let store = store_with(100);
-        let c = ShardedCommitter::new(
-            Arc::clone(&store),
-            &ShardingConfig {
-                num_shards: 8,
-                workers: 1,
-                cross_shard_policy: CrossShardPolicy::Abort,
-                ..ShardingConfig::default()
-            },
-        );
-        let (a, b) = split_keys(c.router());
-        let mut rw = ReadWriteSet::new();
-        rw.record_write(a, Value::new(1));
-        rw.record_write(b, Value::new(1));
-        assert_eq!(c.commit(&rw, true), CommitOutcome::CrossShardRejected);
-        assert_eq!(c.cross_shard_rejections(), 1);
-        assert_eq!(
-            store.get(a).unwrap().value,
-            Value::new(0),
-            "nothing written"
-        );
-        // A single-shard transaction is unaffected by the policy.
-        let mut single = ReadWriteSet::new();
-        single.record_write(a, Value::new(5));
-        assert!(c.commit(&single, true).is_applied());
     }
 
     #[test]

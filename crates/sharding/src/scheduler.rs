@@ -400,7 +400,24 @@ impl ShardScheduler {
     /// Drains outstanding work, stops the workers and joins them.
     pub fn shutdown(mut self) {
         self.drain();
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.stop_workers();
+    }
+
+    /// Stops the workers and joins them. The flag is raised under the
+    /// work-queue lock: a worker checks it and starts waiting while
+    /// holding that lock, so raising it without the lock could land
+    /// between the check and the wait and the wake-up would be lost.
+    /// Runs from `Drop`, so a poisoned lock is taken over rather than
+    /// panicked on: only the flag is written under it.
+    fn stop_workers(&mut self) {
+        {
+            let _queue = self
+                .inner
+                .work
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work_available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -410,11 +427,7 @@ impl ShardScheduler {
 
 impl Drop for ShardScheduler {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.work_available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop_workers();
     }
 }
 
@@ -422,7 +435,7 @@ impl Drop for ShardScheduler {
 mod tests {
     use super::*;
     use sbft_storage::VersionedStore;
-    use sbft_types::{CrossShardPolicy, Key, ShardingConfig, Value, Version};
+    use sbft_types::{Key, ShardingConfig, Value, Version};
 
     fn pool(
         num_shards: usize,
@@ -436,7 +449,6 @@ mod tests {
             &ShardingConfig {
                 num_shards,
                 workers,
-                cross_shard_policy: CrossShardPolicy::LockOrdered,
                 ..ShardingConfig::default()
             },
         ));

@@ -403,6 +403,15 @@ impl SimHarness {
         self.metrics.body_cache_hits = registry.sum_counters("digest.cache_hits");
         self.metrics.body_cache_misses = registry.sum_counters("digest.cache_misses");
         self.metrics.batch_fetches = registry.sum_counters("digest.fetches_sent");
+        // Every node that took part installs the same views, so the most
+        // any node counted is the number of view changes the run saw.
+        self.metrics.view_changes = self
+            .system
+            .nodes
+            .iter()
+            .map(sbft_core::ShimNode::view_changes)
+            .max()
+            .unwrap_or(0);
         self.metrics
     }
 
@@ -752,20 +761,6 @@ impl SimHarness {
                         }
                     }
                     let targets: Vec<ComponentId> = match to {
-                        // Digest-mode clients broadcast their requests to
-                        // every shim node so replicas can seed the body
-                        // caches that digest reconstruction reads from.
-                        Destination::Node(_)
-                            if self.system.config.digest_proposals
-                                && matches!(msg, ProtocolMessage::ClientRequest(_))
-                                && origin.as_node().is_none() =>
-                        {
-                            self.system
-                                .nodes
-                                .iter()
-                                .map(|n| ComponentId::Node(n.id()))
-                                .collect()
-                        }
                         Destination::Node(n) => vec![ComponentId::Node(n)],
                         Destination::AllNodes => self
                             .system
@@ -781,7 +776,7 @@ impl SimHarness {
                     // Sender-side egress accounting for node-to-node
                     // (ordering) traffic, charged per target before the
                     // fault plan arbitrates delivery. The leader counter is
-                    // what the bandwidth-frugal mode exists to shrink.
+                    // what id-only proposals exist to shrink.
                     if let Some(src) = origin.as_node() {
                         let node_targets = targets
                             .iter()
@@ -975,14 +970,13 @@ impl SimHarness {
 }
 
 /// The sequence number and transaction ids of a batch-releasing ordering
-/// message (the batch-release edge of PBFT, CFT and digest-mode PBFT), if
-/// this is one. A digest proposal releases the batch without carrying the
-/// bodies — the ids ride the message instead.
+/// message (the batch-release edge of PBFT and CFT), if this is one. A
+/// PBFT proposal releases the batch without carrying the bodies — the ids
+/// ride the message instead.
 fn ordering_release(msg: &sbft_consensus::ConsensusMessage) -> Option<(SeqNum, Vec<TxnId>)> {
     match msg {
-        sbft_consensus::ConsensusMessage::PrePrepare(p) => Some((p.seq, p.batch.txn_ids())),
+        sbft_consensus::ConsensusMessage::PrePrepare(p) => Some((p.seq, p.txn_ids.clone())),
         sbft_consensus::ConsensusMessage::CftAccept(a) => Some((a.seq, a.batch.txn_ids())),
-        sbft_consensus::ConsensusMessage::DigestPrePrepare(d) => Some((d.seq, d.txn_ids.clone())),
         _ => None,
     }
 }
@@ -992,7 +986,6 @@ fn ordering_batch_seq(msg: &sbft_consensus::ConsensusMessage) -> Option<SeqNum> 
     match msg {
         sbft_consensus::ConsensusMessage::PrePrepare(p) => Some(p.seq),
         sbft_consensus::ConsensusMessage::CftAccept(a) => Some(a.seq),
-        sbft_consensus::ConsensusMessage::DigestPrePrepare(d) => Some(d.seq),
         _ => None,
     }
 }
@@ -1070,46 +1063,41 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_commits_with_less_leader_egress_than_full_mode() {
+    fn proposals_ship_ids_so_leader_egress_stays_below_the_bodies() {
         // Bigger batches than `tiny_config` so transaction bodies dominate
-        // the PREPREPARE framing — the regime the digest mode targets.
-        let run = |digest: bool| {
-            let mut cfg = tiny_config();
-            cfg.digest_proposals = digest;
-            cfg.workload.batch_size = 40;
-            cfg.workload.num_clients = 80;
-            let system = SystemBuilder::new(cfg).clients(80).build();
-            SimHarness::new(
-                system,
-                SimParams {
-                    num_clients: 80,
-                    ..tiny_params()
-                },
-            )
-            .run()
-        };
-        let full = run(false);
-        let digest = run(true);
+        // the proposal framing. The client broadcast keeps replica caches
+        // warm, so proposals are rebuilt locally instead of shipping bodies.
+        let mut cfg = tiny_config();
+        cfg.workload.batch_size = 40;
+        cfg.workload.num_clients = 80;
+        let system = SystemBuilder::new(cfg).clients(80).build();
+        let metrics = SimHarness::new(
+            system,
+            SimParams {
+                num_clients: 80,
+                ..tiny_params()
+            },
+        )
+        .run();
         assert!(
-            digest.committed_txns > 50,
-            "digest mode makes progress, committed {}",
-            digest.committed_txns
+            metrics.committed_txns > 50,
+            "committed {}",
+            metrics.committed_txns
         );
-        assert_eq!(digest.aborted_txns, 0);
-        // The client broadcast keeps replica caches warm, so proposals
-        // reconstruct locally instead of shipping bodies.
+        assert_eq!(metrics.aborted_txns, 0);
         assert!(
-            digest.body_cache_hits > 0,
-            "replicas reconstruct from their body caches"
+            metrics.body_cache_hits > 0,
+            "replicas rebuild proposals from their body caches"
         );
-        assert_eq!(full.body_cache_hits, 0, "full mode never touches a cache");
-        // The whole point: the primary ships digests, not bodies.
-        assert!(full.leader_egress_bytes > 0);
+        assert_eq!(metrics.batch_fetches, 0, "warm caches never fetch");
+        // The leader's bytes per committed transaction stay far below
+        // re-shipping each body to the three replicas: a 1-op body is
+        // 16 + 17 + 20 = 53 bytes on the wire.
+        assert!(metrics.leader_egress_bytes > 0);
+        let per_txn = metrics.leader_egress_bytes as f64 / metrics.committed_txns as f64;
         assert!(
-            digest.leader_egress_bytes * 2 < full.leader_egress_bytes,
-            "digest egress {} must be well below full egress {}",
-            digest.leader_egress_bytes,
-            full.leader_egress_bytes
+            per_txn < 3.0 * 53.0,
+            "leader egress {per_txn:.1} B/txn must stay below the bodies"
         );
     }
 
@@ -1514,6 +1502,51 @@ mod tests {
         assert!(
             metrics.committed_txns > 0,
             "the shim must replace the crashed primary and keep committing"
+        );
+    }
+
+    /// A durable deployment with short timers, optionally losing its
+    /// primary to `crash`.
+    fn failover_run(crash: Option<CrashRestart>) -> RunMetrics {
+        let mut cfg = tiny_config();
+        cfg.durability = sbft_types::DurabilityConfig::enabled();
+        cfg.timers.client_timeout = SimDuration::from_millis(120);
+        cfg.timers.node_timeout = SimDuration::from_millis(80);
+        cfg.timers.retransmit_timeout = SimDuration::from_millis(80);
+        let system = SystemBuilder::new(cfg).clients(40).build();
+        let params = SimParams {
+            duration: SimDuration::from_millis(1_200),
+            warmup: SimDuration::from_millis(50),
+            num_clients: 40,
+            seed: 5,
+            crash,
+            ..SimParams::default()
+        };
+        SimHarness::new(system, params).run()
+    }
+
+    #[test]
+    fn failover_keeps_half_the_fault_free_throughput() {
+        // The primary is dark for most of the measured window. One view
+        // change must replace it, and because PBFT clients address every
+        // node, requests issued after the view change reach the new
+        // primary directly: the shim keeps at least half of the
+        // fault-free commits instead of routing every request around the
+        // dead primary through client timeouts and the verifier.
+        let fault_free = failover_run(None);
+        let failover = failover_run(Some(CrashRestart::of(
+            NodeId(0),
+            SimDuration::from_millis(100),
+            SimDuration::from_millis(1_000),
+        )));
+        assert_eq!(fault_free.view_changes, 0);
+        assert_eq!(failover.recoveries, 1);
+        assert_eq!(failover.view_changes, 1, "exactly one primary replacement");
+        assert!(
+            2 * failover.committed_txns >= fault_free.committed_txns,
+            "failover committed {} of the fault-free {}",
+            failover.committed_txns,
+            fault_free.committed_txns
         );
     }
 

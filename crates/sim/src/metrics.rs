@@ -110,12 +110,12 @@ pub struct RunMetrics {
     pub bytes_delivered: u64,
     /// Bytes sent node-to-node by whichever node was acting as primary at
     /// send time (charged sender-side, before fault-plan loss). This is
-    /// the ordering-bandwidth bottleneck digest proposals shrink.
+    /// the ordering-bandwidth bottleneck id-only proposals shrink.
     pub leader_egress_bytes: u64,
-    /// Digest reconstructions served from the local body cache, summed
-    /// over the shim nodes (transaction granularity).
+    /// Proposal transaction bodies found locally (body cache or log),
+    /// summed over the shim nodes.
     pub body_cache_hits: u64,
-    /// Digest-proposal transaction bodies missing from the local cache.
+    /// Proposal transaction bodies missing from the local cache.
     pub body_cache_misses: u64,
     /// `BATCHFETCH` requests sent to recover missing bodies.
     pub batch_fetches: u64,
@@ -125,7 +125,8 @@ pub struct RunMetrics {
     pub spawns_rejected: u64,
     /// Total executor busy time (for the Lambda bill).
     pub executor_busy: SimDuration,
-    /// View changes observed.
+    /// View changes observed: the most views any one shim node installed
+    /// after the initial one (one primary replacement reads 1).
     pub view_changes: u64,
     /// Records appended to the shim nodes' write-ahead logs, summed.
     pub wal_appends: u64,

@@ -38,8 +38,8 @@ pub mod transaction;
 
 pub use batch::{Batch, BatchId};
 pub use config::{
-    ConflictHandling, CrossShardPolicy, DurabilityConfig, FaultParams, ShardingConfig,
-    SpawningMode, SystemConfig, TimerConfig, WorkloadConfig,
+    ConflictHandling, DurabilityConfig, FaultParams, ShardingConfig, SpawningMode, SystemConfig,
+    TimerConfig, WorkloadConfig,
 };
 pub use digest::{Digest, MacTag, Signature, DIGEST_LEN};
 pub use error::{SbftError, SbftResult};

@@ -71,9 +71,8 @@
 //!
 //! Transactions whose read-write sets stay within one shard validate and
 //! apply fully in parallel with other shards; cross-shard transactions
-//! take a two-phase, lock-ordered path (or are rejected, per
-//! [`types::CrossShardPolicy`]) so OCC semantics match the unsharded
-//! verifier exactly. `cargo run --release -p sbft-bench --bin
+//! take a two-phase, lock-ordered path so OCC semantics match the
+//! unsharded verifier exactly. `cargo run --release -p sbft-bench --bin
 //! fig6_shards` sweeps shard counts and shows committed-transaction
 //! throughput scaling with shards on a conflict-free uniform YCSB
 //! workload.

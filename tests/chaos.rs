@@ -10,6 +10,11 @@
 //! `FaultPlan`. In every case the recovered replica's observable outcome —
 //! commit order, derived KV state, client responses — must match a
 //! fault-free run (or its above-floor suffix, for checkpoint catch-up).
+//!
+//! The same obligation covers proposal reconstruction: PBFT proposals
+//! carry transaction ids, and whatever mix of warm and cold body caches,
+//! fetch-path loss or lying fillers a replica meets, it must commit what
+//! the primary's batcher released and what the all-warm run commits.
 
 use proptest::prelude::*;
 use serverless_bft::consensus::{ConsensusMessage, ConsensusTimer, OrderingProtocol, PbftReplica};
@@ -126,10 +131,15 @@ fn config(snapshot_interval: u64, checkpoint_interval: u64) -> SystemConfig {
 
 /// Four PBFT-backed shim nodes driven synchronously with a chaos filter on
 /// state-transfer traffic; deliveries and commits at [`OBSERVED`] are
-/// recorded off the wire exactly as in `tests/recovery.rs`.
+/// recorded off the wire exactly as in `tests/recovery.rs`. Requests
+/// reach every live node, as PBFT clients address them all, so every
+/// cache is warm: this is also the all-warm run the reconstruction tests
+/// compare against.
 struct ChaosCluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
+    /// Every transaction the test submitted, by id.
+    submitted: BTreeMap<TxnId, Transaction>,
     batches: BTreeMap<SeqNum, Batch>,
     committed: Vec<SeqNum>,
     clock: SimTime,
@@ -160,6 +170,7 @@ impl ChaosCluster {
         ChaosCluster {
             nodes,
             provider,
+            submitted: BTreeMap::new(),
             batches: BTreeMap::new(),
             committed: Vec::new(),
             clock: SimTime::ZERO,
@@ -266,7 +277,8 @@ impl ChaosCluster {
     fn record(&mut self, msg: &ConsensusMessage) {
         match msg {
             ConsensusMessage::PrePrepare(pp) => {
-                self.batches.insert(pp.seq, pp.batch.clone());
+                let bodies = pp.txn_ids.iter().map(|id| self.submitted[id].clone());
+                self.batches.insert(pp.seq, Batch::new(bodies.collect()));
             }
             ConsensusMessage::StateResponse(sr) => {
                 for e in &sr.entries {
@@ -280,12 +292,16 @@ impl ChaosCluster {
     fn submit_batch(&mut self, batch: u64, down: &[usize]) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
-        let r0 = self.request(batch * 2);
-        let a0 = self.nodes[0].on_client_request(&r0, now);
-        self.drive(0, a0, down);
-        let r1 = self.request(batch * 2 + 1);
-        let a1 = self.nodes[0].on_client_request(&r1, now);
-        self.drive(0, a1, down);
+        for r in [self.request(batch * 2), self.request(batch * 2 + 1)] {
+            self.submitted.insert(r.txn.id, r.txn.clone());
+            // Replicas first, so the primary's proposal finds warm caches.
+            for node in (0..self.nodes.len()).rev() {
+                if !down.contains(&node) {
+                    let actions = self.nodes[node].on_client_request(&r, now);
+                    self.drive(node, actions, down);
+                }
+            }
+        }
         let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
         self.drive(0, polled, down);
     }
@@ -493,9 +509,9 @@ fn replica_below_the_retention_floor_recovers_via_checkpoint_catch_up() {
     }
 }
 
-// ---- digest proposals: bandwidth-frugal mode equivalence -------------------
+// ---- proposal reconstruction equivalence ----------------------------------
 
-/// Hostility applied to the digest-reconstruction fetch path
+/// Hostility applied to the proposal-reconstruction fetch path
 /// (`BATCHFETCH` / `BATCHFILL`) plus control over how much of the client
 /// broadcast actually reaches each replica's body cache.
 struct DigestChaos {
@@ -554,9 +570,10 @@ fn poison_fill(msg: &mut ConsensusMessage) {
     }
 }
 
-/// Four digest-mode PBFT shim nodes driven synchronously, with a chaos
-/// filter on the fetch path and counters re-homed into a registry so the
-/// tests can read the digest cache statistics.
+/// Four PBFT shim nodes driven synchronously, with a chaos filter on the
+/// fetch path, control over which replicas hear each client request, and
+/// counters re-homed into a registry so the tests can read the body-cache
+/// statistics.
 struct DigestCluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
@@ -568,22 +585,18 @@ struct DigestCluster {
 
 impl DigestCluster {
     fn new(snapshot_interval: u64, checkpoint_interval: u64, chaos: DigestChaos) -> Self {
-        let mut config = config(snapshot_interval, checkpoint_interval);
-        config.digest_proposals = true;
+        let config = config(snapshot_interval, checkpoint_interval);
         let provider = CryptoProvider::new(21);
         let registry = Arc::new(serverless_bft::telemetry::Registry::new());
         let nodes = (0..config.fault.n_r as u32)
             .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(
-                    PbftReplica::new(
-                        NodeId(i),
-                        config.fault,
-                        provider.handle(ComponentId::Node(NodeId(i))),
-                        config.timers.node_timeout,
-                        config.timers.checkpoint_interval,
-                    )
-                    .with_digest_proposals(true),
-                );
+                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(PbftReplica::new(
+                    NodeId(i),
+                    config.fault,
+                    provider.handle(ComponentId::Node(NodeId(i))),
+                    config.timers.node_timeout,
+                    config.timers.checkpoint_interval,
+                ));
                 let mut node = ShimNode::new(
                     NodeId(i),
                     config.clone(),
@@ -606,7 +619,7 @@ impl DigestCluster {
 
     fn request(&self, i: u64) -> ClientRequest {
         // Identical workload to [`ChaosCluster::request`], so outcomes are
-        // comparable across proposal modes.
+        // comparable with the all-warm run.
         let client = ClientId(i as u32);
         let txn = Transaction::new(
             TxnId::new(client, 0),
@@ -680,9 +693,9 @@ impl DigestCluster {
         }
     }
 
-    /// Submits one 2-transaction batch. Digest-mode clients broadcast to
-    /// every node; the chaos feed decides which replicas actually hear it
-    /// (a missed broadcast is a forced cache miss).
+    /// Submits one 2-transaction batch. PBFT clients address every node;
+    /// the chaos feed decides which replicas actually hear each request
+    /// (a missed request is a forced cache miss).
     fn submit_batch(&mut self, batch: u64) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
@@ -732,7 +745,9 @@ impl DigestCluster {
 
     /// Commit order, derived KV state and response ids at the observed
     /// node, folded from the batches it actually committed (entries stay
-    /// tracked because no verifier runs in this cluster).
+    /// tracked because no verifier runs in this cluster). Every rebuilt
+    /// batch must be exactly the one the primary's batcher released —
+    /// the primary never rebuilds its own proposals.
     fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
         let mut kv: BTreeMap<u64, u64> = BTreeMap::new();
         let mut responses = Vec::new();
@@ -740,6 +755,11 @@ impl DigestCluster {
             let batch = self.nodes[OBSERVED]
                 .committed_batch(*seq)
                 .expect("observed node committed a batch it no longer tracks");
+            assert_eq!(
+                Some(batch),
+                self.nodes[0].committed_batch(*seq),
+                "rebuilt batch at {seq:?} differs from the released one"
+            );
             for txn in batch.txns() {
                 for op in &txn.ops {
                     match op {
@@ -768,13 +788,14 @@ impl DigestCluster {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The equivalence obligation of the bandwidth-frugal mode: under any
-    /// mix of cold caches (replicas missing the client broadcast, down to
-    /// all-cold), loss on the fetch path and a fill poisoner, a digest-
-    /// mode run's committed order, derived KV state and client responses
-    /// are byte-identical to the full-body run on the same workload.
+    /// The reconstruction obligation: under any mix of cold caches
+    /// (replicas missing the client request, down to all-cold), loss on
+    /// the fetch path and a fill poisoner, the committed order, derived
+    /// KV state and client responses are byte-identical to the all-warm
+    /// run on the same workload, and every rebuilt batch is the one the
+    /// primary released.
     #[test]
-    fn digest_mode_equals_full_body_mode(
+    fn any_cache_warmth_mix_equals_the_all_warm_run(
         batches in 1u64..4,
         // The first arm pins the all-cold case (every body fetched); the
         // second sweeps the whole feed range.
@@ -794,36 +815,36 @@ proptest! {
             drop_first_fills: 0,
             poisoner: poison.then_some(1),
         };
-        let mut digest_run = DigestCluster::new(1_000, 100, chaos);
+        let mut run = DigestCluster::new(1_000, 100, chaos);
         for batch in 0..batches {
-            digest_run.submit_batch(batch);
-            digest_run.pump_fetch_retries();
+            run.submit_batch(batch);
+            run.pump_fetch_retries();
         }
-        for (i, node) in digest_run.nodes.iter().enumerate() {
+        for (i, node) in run.nodes.iter().enumerate() {
             prop_assert!(
                 node.pending_reconstructions().is_empty(),
                 "node {} still reconstructing after the retry pump",
                 i
             );
         }
-        let baseline = baseline_run(1_000, batches);
-        let (d_seqs, d_kv, d_resps) = digest_run.outcome();
-        let (b_seqs, b_kv, b_resps) = baseline.outcome();
-        prop_assert_eq!(d_seqs, b_seqs, "commit order diverged across modes");
-        prop_assert_eq!(d_kv, b_kv, "derived KV state diverged across modes");
-        prop_assert_eq!(d_resps, b_resps, "client responses diverged across modes");
+        let warm = baseline_run(1_000, batches);
+        let (d_seqs, d_kv, d_resps) = run.outcome();
+        let (b_seqs, b_kv, b_resps) = warm.outcome();
+        prop_assert_eq!(d_seqs, b_seqs, "commit order diverged from the all-warm run");
+        prop_assert_eq!(d_kv, b_kv, "derived KV state diverged from the all-warm run");
+        prop_assert_eq!(d_resps, b_resps, "client responses diverged from the all-warm run");
     }
 }
 
 #[test]
-fn poisoned_fill_is_refetched_elsewhere_and_matches_full_mode() {
+fn poisoned_fill_is_refetched_elsewhere_and_matches_the_all_warm_run() {
     // Nodes 2 and 3 are cold; node 1 is warm AND poisons every fill it
     // serves. The primary's two initial honest fills are swallowed, so
     // both cold replicas retry into node 1 — the next target in the fetch
     // rotation — and receive garbage bodies under the right ids. They
     // must quarantine the garbage, blame node 1, fall back to a full
     // fetch, and complete from an honest peer, committing exactly what
-    // the full-body run commits.
+    // the all-warm run commits.
     let chaos = DigestChaos {
         warm: vec![1],
         drop_first_fills: 2,
@@ -849,9 +870,9 @@ fn poisoned_fill_is_refetched_elsewhere_and_matches_full_mode() {
 }
 
 #[test]
-fn all_cold_digest_run_fetches_everything_and_matches_full_mode() {
+fn all_cold_run_fetches_everything_and_matches_the_all_warm_run() {
     // Zero feed: every body of every batch must travel the fetch path,
-    // and the outcome still matches the full-body run exactly.
+    // and the outcome still matches the all-warm run exactly.
     let mut digest_run = DigestCluster::new(1_000, 100, DigestChaos::none(0));
     for batch in 0..4 {
         digest_run.submit_batch(batch);
@@ -969,7 +990,7 @@ fn digest_mode_survives_faults_on_the_fetch_path() {
     use serverless_bft::serverless::CrashRestart;
     use serverless_bft::sim::{FaultPlan, LinkFaults, SimHarness, SimParams};
 
-    // Digest proposals under a hostile simulator run: a lossy replica
+    // Proposal reconstruction under a hostile simulator run: a lossy replica
     // link chews on consensus traffic and a crash-restart wipes one
     // replica's volatile body cache, so proposals referencing bodies
     // broadcast while it was down can only complete through `BATCHFETCH`.
@@ -988,7 +1009,6 @@ fn digest_mode_survives_faults_on_the_fetch_path() {
         cfg.workload.batch_size = 200;
         cfg.workload.num_clients = 40;
         cfg.durability = DurabilityConfig::enabled();
-        cfg.digest_proposals = true;
         let system = SystemBuilder::new(cfg).clients(40).build();
         let params = SimParams {
             duration: SimDuration::from_millis(600),
@@ -1012,7 +1032,7 @@ fn digest_mode_survives_faults_on_the_fetch_path() {
     };
     let a = run();
     assert!(a.committed_txns > 0, "committed {}", a.committed_txns);
-    assert_eq!(a.divergent_aborts, 0, "digest mode must never diverge");
+    assert_eq!(a.divergent_aborts, 0, "reconstruction must never diverge");
     assert_eq!(a.recoveries, 1, "the crashed replica must recover");
     assert!(
         a.body_cache_hits > 0,
@@ -1039,6 +1059,6 @@ fn digest_mode_survives_faults_on_the_fetch_path() {
             b.batch_fetches,
             b.recoveries,
         ),
-        "digest-mode chaos must replay exactly from the seed"
+        "fetch-path chaos must replay exactly from the seed"
     );
 }

@@ -24,11 +24,16 @@ const OBSERVED: usize = 3;
 
 /// Four PBFT-backed shim nodes driven synchronously, with the batches
 /// and commits observed at node [`OBSERVED`] recorded off the wire.
+/// Requests reach the primary only, so every replica rebuilds every
+/// proposal from bodies it fetches.
 struct Cluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
+    /// Every transaction the test submitted, by id.
+    submitted: BTreeMap<TxnId, Transaction>,
     /// Batch content per sequence as delivered to the observed node
-    /// (`PREPREPARE` live, `STATERESPONSE` entries after recovery).
+    /// (`PREPREPARE` ids resolved against the submitted bodies live,
+    /// `STATERESPONSE` entries after recovery).
     batches: BTreeMap<SeqNum, Batch>,
     /// Commit order observed at the watched node.
     committed: Vec<SeqNum>,
@@ -72,6 +77,7 @@ impl Cluster {
         Cluster {
             nodes,
             provider,
+            submitted: BTreeMap::new(),
             batches: BTreeMap::new(),
             committed: Vec::new(),
             clock: SimTime::ZERO,
@@ -144,6 +150,12 @@ impl Cluster {
                     _ => {}
                 },
                 Action::BatchCommitted { seq, .. } if origin == OBSERVED => {
+                    // What the replica rebuilt is what the primary proposed.
+                    assert_eq!(
+                        self.nodes[OBSERVED].committed_batch(*seq),
+                        self.batches.get(seq),
+                        "observed node committed other content at {seq:?}"
+                    );
                     self.committed.push(*seq);
                 }
                 _ => {}
@@ -156,7 +168,8 @@ impl Cluster {
     fn record(&mut self, msg: &ConsensusMessage) {
         match msg {
             ConsensusMessage::PrePrepare(pp) => {
-                self.batches.insert(pp.seq, pp.batch.clone());
+                let bodies = pp.txn_ids.iter().map(|id| self.submitted[id].clone());
+                self.batches.insert(pp.seq, Batch::new(bodies.collect()));
             }
             ConsensusMessage::StateResponse(sr) => {
                 for e in &sr.entries {
@@ -172,12 +185,11 @@ impl Cluster {
     fn submit_batch(&mut self, batch: u64, down: &[usize]) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
-        let r0 = self.request(batch * 2);
-        let a0 = self.nodes[0].on_client_request(&r0, now);
-        self.drive(0, a0, down);
-        let r1 = self.request(batch * 2 + 1);
-        let a1 = self.nodes[0].on_client_request(&r1, now);
-        self.drive(0, a1, down);
+        for r in [self.request(batch * 2), self.request(batch * 2 + 1)] {
+            self.submitted.insert(r.txn.id, r.txn.clone());
+            let actions = self.nodes[0].on_client_request(&r, now);
+            self.drive(0, actions, down);
+        }
         let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
         self.drive(0, polled, down);
     }
