@@ -247,6 +247,14 @@ impl ShimNode {
         self.ordering.primary()
     }
 
+    /// Whether this node's ordering protocol caches client bodies for
+    /// proposal reconstruction instead of forwarding them to the primary
+    /// (PBFT); its clients then address every node.
+    #[must_use]
+    pub fn caches_bodies(&self) -> bool {
+        self.ordering.caches_bodies()
+    }
+
     /// The ordering protocol's current view.
     #[must_use]
     pub fn view(&self) -> ViewNumber {
@@ -1023,7 +1031,10 @@ impl ShimNode {
     }
 
     fn spawn_for(&mut self, seq: SeqNum) -> Vec<Action> {
-        let count = self.spawn_count();
+        self.spawn_executors(seq, self.spawn_count())
+    }
+
+    fn spawn_executors(&mut self, seq: SeqNum, count: usize) -> Vec<Action> {
         let Some(entry) = self.committed.get_mut(&seq) else {
             return Vec::new();
         };
@@ -1141,16 +1152,15 @@ impl ShimNode {
     }
 
     /// Re-spawns executors for a batch this node committed but whose
-    /// execution never completed at the verifier (missing `k_max`).
+    /// execution never completed at the verifier (missing `k_max`, or a
+    /// re-execution after its executors disagreed). Only the primary
+    /// answers the `ERROR`, so it spawns every executor the verifier waits
+    /// for, also under decentralized spawning.
     fn respawn(&mut self, seq: SeqNum) -> Vec<Action> {
         if let Some(entry) = self.committed.get_mut(&seq) {
             entry.spawned = false;
         }
-        if self.should_spawn() {
-            self.spawn_for(seq)
-        } else {
-            Vec::new()
-        }
+        self.spawn_executors(seq, self.config.spawned_per_batch())
     }
 
     fn on_batch_validated(&mut self, validated: BatchValidated) -> Vec<Action> {
@@ -1983,6 +1993,48 @@ mod tests {
                 .filter(|(n, a)| *n == NodeId(i) && matches!(a, Action::SpawnExecutor { .. }))
                 .count();
             assert_eq!(spawns, 1, "node {i}");
+        }
+    }
+
+    #[test]
+    fn decentralized_primary_respawns_every_executor_of_the_batch() {
+        // The verifier asks for a batch again (ERROR(k_max)) after its
+        // executors disagreed and discards their results, so the second
+        // wave must bring as many executors as the first: n_R × 1. Only
+        // the primary answers; the other nodes forward the ERROR.
+        let mut config = base_config();
+        config.spawning = SpawningMode::Decentralized;
+        let spawned_per_batch = config.spawned_per_batch();
+        let mut shim = make_shim(config);
+        let provider = Arc::clone(&shim.provider);
+        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        let external = run_consensus(&mut shim, 0, a1);
+        let seq = external
+            .iter()
+            .find_map(|(_, a)| match a {
+                Action::SpawnExecutor { execute, .. } => Some(execute.seq),
+                _ => None,
+            })
+            .expect("the batch committed and spawned");
+        let err = ProtocolMessage::Error(ErrorMessage {
+            subject: RecoverySubject::Seq(seq),
+            request: None,
+            signature: Signature::ZERO,
+        });
+        for i in 0..4usize {
+            let actions = shim.nodes[i].on_message(&err);
+            let spawns = actions
+                .iter()
+                .filter(|a| matches!(a, Action::SpawnExecutor { .. }))
+                .count();
+            if i == 0 {
+                assert_eq!(spawns, spawned_per_batch);
+                assert_eq!(spawns, 4);
+            } else {
+                assert_eq!(spawns, 0, "node {i} forwards");
+                assert!(actions.iter().any(|a| a.sends_kind("ERROR")));
+            }
         }
     }
 

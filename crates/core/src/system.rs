@@ -264,12 +264,12 @@ impl SystemBuilder {
             },
         );
 
-        // Clients: PBFT clients address every node (replicas rebuild
-        // proposals from the bodies the clients sent them); the baselines'
-        // clients address the primary.
-        let client_target = match self.protocol {
-            ShimProtocol::Pbft => Destination::AllNodes,
-            ShimProtocol::Cft | ShimProtocol::NoShim => Destination::Node(nodes[0].primary()),
+        // Clients address every node when the replicas rebuild proposals
+        // from the bodies the clients sent them (PBFT), else the primary.
+        let client_target = if nodes[0].caches_bodies() {
+            Destination::AllNodes
+        } else {
+            Destination::Node(nodes[0].primary())
         };
         let clients = (0..self.num_clients as u32)
             .map(|i| {

@@ -460,7 +460,9 @@ impl Verifier {
     /// disagreed. Every earlier batch is applied and no later one can be
     /// until this one is, so the re-spawned executors all read one storage
     /// state. The disagreeing results are discarded, and the shim is asked
-    /// through `ERROR(k_max)` to spawn the batch again.
+    /// through `ERROR(k_max)` to spawn the batch again; its primary then
+    /// spawns all `spawned_per_batch` executors, whatever the spawning
+    /// mode.
     fn reexecute_head(&mut self) -> Vec<Action> {
         let seq = self.kmax;
         let Some(state) = self.pending.get_mut(&seq) else {
@@ -1519,6 +1521,44 @@ mod tests {
         let actions = v.on_verify(&fx.verify_msg(4, 1, 0, 2, 1));
         assert!(actions.iter().any(|a| a.sends_kind("RESPONSE")));
         assert_eq!(v.committed_txns(), 1);
+    }
+
+    #[test]
+    fn decentralized_divergent_wave_is_reexecuted_with_every_spawn() {
+        // 4 executors per batch (4 nodes × 1). A fully divergent first
+        // wave asks for the batch again instead of aborting; the second
+        // wave is as large as the first, so it can reach the f_E + 1
+        // match among its 4 answers.
+        let fx = Fixture::new();
+        let mut v = Verifier::new(
+            fx.provider.handle(ComponentId::Verifier),
+            Arc::clone(&fx.store),
+            VerifierConfig {
+                params: FaultParams::for_shim_size(4),
+                conflict_handling: ConflictHandling::NonConflicting,
+                abort_timeout: SimDuration::from_millis(100),
+                cert_quorum: 3,
+                spawned_per_batch: 4,
+                sharding: ShardingConfig::default(),
+                checkpoint_interval: 4,
+            },
+        );
+        for executor in 1..=3 {
+            assert!(v
+                .on_verify(&fx.verify_msg(executor, 1, 0, executor, 1))
+                .is_empty());
+        }
+        let actions = v.on_verify(&fx.verify_msg(4, 1, 0, 4, 1));
+        assert!(actions.iter().any(|a| a.sends_kind("ERROR")));
+        assert!(!actions.iter().any(|a| a.sends_kind("ABORT")));
+        assert_eq!(v.reexecutions(), 1);
+        let _ = v.on_verify(&fx.verify_msg(5, 1, 0, 5, 1));
+        let _ = v.on_verify(&fx.verify_msg(6, 1, 0, 6, 1));
+        let actions = v.on_verify(&fx.verify_msg(7, 1, 0, 6, 1));
+        assert!(actions.iter().any(|a| a.sends_kind("RESPONSE")));
+        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.aborted_txns(), 0);
+        assert_eq!(v.kmax(), SeqNum(2));
     }
 
     #[test]
