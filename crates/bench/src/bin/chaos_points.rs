@@ -12,14 +12,16 @@
 //!
 //! CI runs this binary as a smoke test over the full grid and asserts
 //! liveness (committed > 0), safety (divergent = 0), drops on every lossy
-//! row, partition drops on every `P1` row, and one recovery per
-//! scheduled crash.
+//! row, partition drops on every `P1` row, one recovery per scheduled
+//! crash, and no view change on any `P0-C0` row (the `view_changes`
+//! column): message loss alone must not make the backups suspect the
+//! primary.
 
 use sbft_bench::{chaos_points, run_point_silent};
 
 fn main() {
     println!(
-        "figure,series,x,committed,divergent,dropped,duplicated,delayed,partition_drops,fsync_lags,recoveries,bad_state_responses,state_request_retries,catch_ups"
+        "figure,series,x,committed,divergent,dropped,duplicated,delayed,partition_drops,fsync_lags,recoveries,bad_state_responses,state_request_retries,catch_ups,view_changes"
     );
     let loss_rates = [0.0, 0.10, 0.20];
     let partition_windows = [false, true];
@@ -28,7 +30,7 @@ fn main() {
         let result = run_point_silent(point);
         let m = &result.metrics;
         println!(
-            "{},{},{:.0},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{:.0},{},{},{},{},{},{},{},{},{},{},{},{}",
             result.figure,
             result.series,
             result.x,
@@ -43,6 +45,7 @@ fn main() {
             m.bad_state_responses,
             m.state_request_retries,
             m.catch_ups,
+            m.view_changes,
         );
     }
 }

@@ -13,20 +13,21 @@
 //! on the remaining quorum.
 //!
 //! CI runs this binary as a smoke test: it asserts every row commits,
-//! every crashed row records exactly one recovery, and the WAL/snapshot
-//! counters are non-zero where durability makes them so.
+//! every crashed row records exactly one recovery, the WAL/snapshot
+//! counters are non-zero where durability makes them so, and no
+//! `BASELINE` row records a view change (the `view_changes` column).
 
 use sbft_bench::{recovery_points, run_point_silent};
 
 fn main() {
     println!(
-        "figure,series,x,throughput_tps,avg_latency_s,p99_s,committed,wal_appends,snapshot_bytes,replay_batches,state_transfer_batches,recoveries"
+        "figure,series,x,throughput_tps,avg_latency_s,p99_s,committed,wal_appends,snapshot_bytes,replay_batches,state_transfer_batches,recoveries,view_changes"
     );
     let snapshot_intervals = [4u64, 32, 1_000];
     for point in recovery_points(&snapshot_intervals) {
         let result = run_point_silent(point);
         println!(
-            "{},{},{:.0},{:.0},{:.6},{:.6},{},{},{},{},{},{}",
+            "{},{},{:.0},{:.0},{:.6},{:.6},{},{},{},{},{},{},{}",
             result.figure,
             result.series,
             result.x,
@@ -39,6 +40,7 @@ fn main() {
             result.metrics.replay_batches,
             result.metrics.state_transfer_batches,
             result.metrics.recoveries,
+            result.metrics.view_changes,
         );
     }
 }

@@ -131,6 +131,13 @@ impl ConsensusLog {
             .collect()
     }
 
+    /// Whether some retained entry holds votes but no accepted batch (its
+    /// pre-prepare never arrived, or its reconstruction was abandoned).
+    #[must_use]
+    pub fn has_unproposed_entries(&self) -> bool {
+        self.entries.values().any(|e| e.batch.is_none())
+    }
+
     /// Highest sequence number with any record in the log.
     #[must_use]
     pub fn max_seq(&self) -> SeqNum {

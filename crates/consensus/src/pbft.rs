@@ -1460,6 +1460,14 @@ impl OrderingProtocol for PbftReplica {
         actions
     }
 
+    fn missed_proposals(&self) -> bool {
+        self.log.has_unproposed_entries()
+    }
+
+    fn cached_body(&self, id: TxnId) -> Option<Transaction> {
+        self.body_cache.get(&id).cloned()
+    }
+
     fn gc_bodies(&mut self, protected: &HashSet<TxnId>) {
         self.body_cache.retain(|id, _| protected.contains(id));
     }

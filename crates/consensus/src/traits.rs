@@ -98,6 +98,22 @@ pub trait OrderingProtocol {
         Vec::new()
     }
 
+    /// The cached body of transaction `id`, if this node holds one (the
+    /// shim re-proposes stranded requests from it after a view change).
+    /// Protocols without a body cache hold none.
+    fn cached_body(&self, id: TxnId) -> Option<Transaction> {
+        let _ = id;
+        None
+    }
+
+    /// Whether this node's log holds votes for a sequence number whose
+    /// proposal it never accepted: it missed a proposal, so it cannot
+    /// tell which client requests that proposal carried. Protocols without
+    /// a body cache never re-propose and report `false`.
+    fn missed_proposals(&self) -> bool {
+        false
+    }
+
     /// Garbage-collects cached transaction bodies, keeping only ids in
     /// `protected` (the shim calls this on its checkpoint-rhythm GC).
     /// Protocols without a body cache ignore it.

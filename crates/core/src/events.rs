@@ -242,6 +242,10 @@ pub enum ProtocolTimer {
     /// Probation on a region an invoker reactively marked down after a
     /// `SpawnRejected` answer: on expiry the region is tried again.
     RegionProbation(Region),
+    /// A backup's one suspicion timer, armed for the deadline of the
+    /// oldest client body no proposal has carried yet: on expiry a
+    /// primary that stayed silent that long is replaced.
+    Suspicion,
 }
 
 /// An action requested by a role state machine, interpreted by the runtime.

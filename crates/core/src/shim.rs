@@ -19,8 +19,8 @@ use crate::events::{
 };
 use crate::planner::{home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
-    Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, RecoveryStats,
-    SignedBatch,
+    Batcher, ConsensusAction, ConsensusMessage, ConsensusTimer, OrderingProtocol, PbftReplica,
+    RecoveryStats, SignedBatch,
 };
 use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::{codec as wal_codec, recover, MemWal, WalRecord, WriteAheadLog};
@@ -31,7 +31,7 @@ use sbft_types::{
     Batch, ComponentId, ConflictHandling, NodeId, SeqNum, ShardPlan, SimTime, SpawningMode,
     SystemConfig, TxnId, ViewNumber,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A committed batch that may still need spawning or re-spawning. The
@@ -47,6 +47,19 @@ struct CommittedBatch {
     /// view changes).
     plan: ShardPlan,
     spawned: bool,
+}
+
+/// A client body a backup holds whose id no accepted proposal or
+/// committed batch has carried yet (see [`ShimNode::watch`]). The body
+/// itself stays in the ordering protocol's body cache.
+#[derive(Clone, Copy, Debug)]
+struct Watched {
+    arrival: SimTime,
+    signature: sbft_types::Signature,
+    /// Highest validated sequence number when the body arrived. Once the
+    /// GC cutoff passes it the entry is dropped: its id sat in a proposal
+    /// this node never received.
+    stamp: SeqNum,
 }
 
 /// The shim-node role state machine.
@@ -108,6 +121,28 @@ pub struct ShimNode {
     /// what prevents one byzantine primary from cascading the shim through
     /// many views when many `ERROR` messages arrive at once).
     retransmit_view: std::collections::HashMap<RecoverySubject, ViewNumber>,
+    /// Backup suspicion (body-caching protocols): the client bodies this
+    /// backup holds that no accepted proposal, `NEWVIEW` re-issue or
+    /// committed batch has carried yet, in `TxnId` order. One timer covers
+    /// them all (see [`Self::arm_suspicion`]); when the primary stays
+    /// silent past the oldest body's deadline, this node asks for a view
+    /// change, and as the next primary it re-proposes what is left here.
+    watch: BTreeMap<TxnId, Watched>,
+    /// Ids this node saw in an accepted proposal or a committed batch,
+    /// stamped like [`Watched::stamp`] and dropped by the same GC: a body
+    /// that arrives after its proposal never enters the watch.
+    settled: HashMap<TxnId, SeqNum>,
+    /// Whether the suspicion timer is pending.
+    suspicion_armed: bool,
+    /// Whether this node already asked to replace the current view's
+    /// primary from the suspicion timer (cleared when a view installs).
+    suspected: bool,
+    /// When the primary last showed progress to this node: a proposal
+    /// accepted, or a view installed. Suspicion counts from here or from
+    /// the oldest watched arrival, whichever is later.
+    last_progress: SimTime,
+    /// The latest time this node observed (entry points that carry one).
+    clock: SimTime,
     /// The durable write-ahead log, present when `config.durability` is
     /// enabled. `new` attaches the deterministic in-memory backend (what
     /// the simulator crashes and restarts); the thread runtime swaps in
@@ -141,6 +176,8 @@ pub struct ShimNode {
     state_request_retries: Counter,
     catch_ups: Counter,
     view_changes: Counter,
+    suspicions: Counter,
+    stranded_reproposed: Counter,
 }
 
 impl ShimNode {
@@ -201,6 +238,12 @@ impl ShimNode {
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
             retransmit_view: std::collections::HashMap::new(),
+            watch: BTreeMap::new(),
+            settled: HashMap::new(),
+            suspicion_armed: false,
+            suspected: false,
+            last_progress: SimTime::ZERO,
+            clock: SimTime::ZERO,
             wal,
             last_snapshot: SeqNum(0),
             recovering: false,
@@ -219,6 +262,8 @@ impl ShimNode {
             state_request_retries: Counter::new(),
             catch_ups: Counter::new(),
             view_changes: Counter::new(),
+            suspicions: Counter::new(),
+            stranded_reproposed: Counter::new(),
         }
     }
 
@@ -316,6 +361,8 @@ impl ShimNode {
             registry.counter(&format!("shim.{id}.faults.state_request_retries"));
         self.catch_ups = registry.counter(&format!("shim.{id}.faults.catch_ups"));
         self.view_changes = registry.counter(&format!("shim.{id}.view_changes"));
+        self.suspicions = registry.counter(&format!("shim.{id}.suspicions"));
+        self.stranded_reproposed = registry.counter(&format!("shim.{id}.stranded_reproposed"));
         self.batcher
             .register_metrics(registry, &format!("shim.{id}"));
         self.invoker.register_metrics(registry);
@@ -478,6 +525,7 @@ impl ShimNode {
     /// (it only runs right after view changes) and keeps forged traffic
     /// from being relayed.
     pub fn on_client_request(&mut self, req: &ClientRequest, now: SimTime) -> Vec<Action> {
+        self.observe(now);
         let digest = ClientRequest::signing_digest(&req.txn);
         if !self.is_primary() {
             if !self.crypto.verify(
@@ -493,9 +541,11 @@ impl ShimNode {
                 // relaying to the primary. The offer may complete an
                 // in-flight reconstruction (the proposal can race ahead of
                 // the client broadcast), in which case consensus actions
-                // come back.
+                // come back. The body is watched until a proposal carries it.
                 let actions = self.ordering.offer_body(req.txn.clone());
-                return self.translate(actions);
+                let mut out = self.translate(actions);
+                out.extend(self.watch_body(req.txn.id, req.signature, now));
+                return out;
             }
             // The baselines' clients target the primary; a node that is
             // not the primary forwards the request (e.g. after a view
@@ -632,8 +682,43 @@ impl ShimNode {
 
     /// Handles a consensus message from another shim node.
     pub fn on_consensus_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<Action> {
+        self.on_consensus_message_at(from, msg, SimTime::ZERO)
+    }
+
+    /// Like [`Self::on_consensus_message`] but with the current time, which
+    /// the backup suspicion timer counts from.
+    pub fn on_consensus_message_at(
+        &mut self,
+        from: NodeId,
+        msg: ConsensusMessage,
+        now: SimTime,
+    ) -> Vec<Action> {
+        self.observe(now);
         let is_state_response = matches!(msg, ConsensusMessage::StateResponse(_));
+        let proposed = if self.ordering.caches_bodies() {
+            proposals_in(&msg)
+                .map(|pp| (pp.seq, pp.txn_ids.clone()))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let actions = self.ordering.handle_message(from, msg);
+        // The ordering protocol starts a proposal's request timer exactly
+        // when it accepts the proposal (with its batch rebuilt, or with
+        // the missing bodies being fetched); from then on that timer, not
+        // the suspicion watch, covers its ids.
+        for (seq, ids) in proposed {
+            let accepted = actions.iter().any(|a| {
+                matches!(a, ConsensusAction::StartTimer {
+                    timer: ConsensusTimer::Request(s),
+                    ..
+                } if *s == seq)
+            });
+            if accepted {
+                self.last_progress = self.clock;
+                self.settle(&ids);
+            }
+        }
         let mut transfer_done = false;
         if is_state_response {
             let adopted = actions
@@ -680,6 +765,12 @@ impl ShimNode {
         for action in actions {
             match action {
                 ConsensusAction::Broadcast(msg) => {
+                    // This node's own proposals and NEWVIEW re-issues carry
+                    // their ids out of the watch: the new primary never
+                    // re-proposes a request it re-issues as prepared.
+                    for pp in proposals_in(&msg) {
+                        self.settle(&pp.txn_ids);
+                    }
                     // The durable-vote rule: the WAL write (synced for
                     // COMMIT votes) is charged before the send leaves.
                     out.extend(self.wal_on_broadcast(&msg));
@@ -708,6 +799,9 @@ impl ShimNode {
                     plan,
                     certificate,
                 } => {
+                    if self.ordering.caches_bodies() {
+                        self.settle(&batch.txn_ids());
+                    }
                     out.extend(self.wal_on_committed(
                         view,
                         seq,
@@ -719,10 +813,17 @@ impl ShimNode {
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
                     self.view_changes.inc();
+                    // Every watched deadline restarts: the new primary gets
+                    // a full node timeout before it is suspected.
+                    self.suspected = false;
+                    self.last_progress = self.clock;
                     out.extend(self.wal_on_view_installed(view));
                     out.extend(self.on_view_installed());
                 }
                 ConsensusAction::CaughtUp { up_to } => {
+                    // Batches this node only learned had committed: any
+                    // watched body may have ridden one of them.
+                    self.watch.clear();
                     out.extend(self.wal_on_caught_up(up_to));
                 }
             }
@@ -874,6 +975,11 @@ impl ShimNode {
         self.validated_txns.clear();
         self.pending_seen.clear();
         self.retransmit_view.clear();
+        self.watch.clear();
+        self.settled.clear();
+        self.suspicion_armed = false;
+        self.suspected = false;
+        self.last_progress = self.clock;
         self.max_validated = SeqNum(0);
         self.seen_gc_floor = SeqNum(0);
         self.last_snapshot = SeqNum(0);
@@ -1073,22 +1179,135 @@ impl ShimNode {
     /// When this node becomes the primary of a new view it re-spawns
     /// executors for every batch that committed but was never validated by
     /// the verifier (otherwise a view change could leave committed batches
-    /// stranded without executors).
+    /// stranded without executors), then re-proposes every watched client
+    /// request, in `TxnId` order: the old primary never proposed them, and
+    /// the clients sent them to this node already. They take the regular
+    /// ordering path (duplicate suppression, aggregate signature check).
+    /// Ids in committed batches or in this view's re-issued prepared
+    /// batches left the watch before this runs. A node that missed a
+    /// proposal cannot tell which watched requests it carried, so it
+    /// re-proposes none and leaves them to the clients' retries. A backup
+    /// re-arms its suspicion timer for the new primary instead.
     fn on_view_installed(&mut self) -> Vec<Action> {
         if !self.is_primary() {
-            return Vec::new();
+            return self.arm_suspicion(self.clock);
         }
-        let stranded: Vec<SeqNum> = self
+        let unspawned: Vec<SeqNum> = self
             .committed
             .iter()
             .filter(|(_, e)| !e.spawned)
             .map(|(s, _)| *s)
             .collect();
         let mut actions = Vec::new();
-        for seq in stranded {
+        for seq in unspawned {
             actions.extend(self.spawn_for(seq));
         }
+        let stranded = std::mem::take(&mut self.watch);
+        if self.ordering.missed_proposals() {
+            return actions;
+        }
+        for (id, watched) in stranded {
+            let Some(txn) = self.ordering.cached_body(id) else {
+                continue;
+            };
+            let digest = ClientRequest::signing_digest(&txn);
+            self.stranded_reproposed.inc();
+            actions.extend(self.order_transaction(txn, digest, watched.signature, self.clock));
+        }
         actions
+    }
+
+    // ---- backup suspicion -----------------------------------------------------
+
+    /// Advances this node's clock to `now` (never backwards: the entry
+    /// points without a time pass zero).
+    fn observe(&mut self, now: SimTime) {
+        self.clock = self.clock.max(now);
+    }
+
+    /// Starts watching a client body a backup just cached, unless a
+    /// proposal or a committed batch already carried its id, and arms the
+    /// suspicion timer if it is idle.
+    fn watch_body(
+        &mut self,
+        id: TxnId,
+        signature: sbft_types::Signature,
+        now: SimTime,
+    ) -> Vec<Action> {
+        if self.settled.contains_key(&id) {
+            return Vec::new();
+        }
+        self.watch.entry(id).or_insert(Watched {
+            arrival: now,
+            signature,
+            stamp: self.max_validated,
+        });
+        self.arm_suspicion(now)
+    }
+
+    /// Takes ids out of the watch once an accepted proposal or a
+    /// committed batch carries them, and keeps them out.
+    fn settle(&mut self, ids: &[TxnId]) {
+        for id in ids {
+            self.watch.remove(id);
+            self.settled.insert(*id, self.max_validated);
+        }
+    }
+
+    /// When the primary counts as silent: one node timeout after the later
+    /// of the oldest watched arrival and the primary's last progress.
+    fn suspicion_deadline(&self) -> Option<SimTime> {
+        let oldest = self.watch.values().map(|w| w.arrival).min()?;
+        Some(oldest.max(self.last_progress) + self.config.timers.node_timeout)
+    }
+
+    /// Arms the one suspicion timer for the current deadline, unless it is
+    /// pending already, the watch is empty, this node is the primary, or
+    /// it already asked to replace this view's primary.
+    fn arm_suspicion(&mut self, now: SimTime) -> Vec<Action> {
+        if self.suspicion_armed || self.suspected || self.is_primary() {
+            return Vec::new();
+        }
+        let Some(deadline) = self.suspicion_deadline() else {
+            return Vec::new();
+        };
+        self.suspicion_armed = true;
+        vec![Action::StartTimer {
+            timer: ProtocolTimer::Suspicion,
+            duration: deadline.since(now),
+        }]
+    }
+
+    /// The suspicion timer fired: a body is overdue and the primary has
+    /// had no proposal accepted here for a node timeout, so ask for a view
+    /// change; otherwise re-arm for the deadline that moved on. A node
+    /// that missed a proposal cannot tell whether an overdue body rode
+    /// it: it leaves the primary to the request timers and the
+    /// verifier's path, and looks again one node timeout later.
+    fn on_suspicion_timer(&mut self, now: SimTime) -> Vec<Action> {
+        self.suspicion_armed = false;
+        if self.suspected || self.is_primary() {
+            return Vec::new();
+        }
+        match self.suspicion_deadline() {
+            Some(deadline) if deadline <= now && self.ordering.missed_proposals() => {
+                self.suspicion_armed = true;
+                vec![Action::StartTimer {
+                    timer: ProtocolTimer::Suspicion,
+                    duration: self.config.timers.node_timeout,
+                }]
+            }
+            Some(deadline) if deadline <= now => {
+                self.suspected = true;
+                let actions = self.ordering.request_view_change();
+                if !actions.is_empty() {
+                    self.suspicions.inc();
+                }
+                self.translate(actions)
+            }
+            Some(_) => self.arm_suspicion(now),
+            None => Vec::new(),
+        }
     }
 
     // ---- verifier-driven recovery -----------------------------------------------
@@ -1102,6 +1321,7 @@ impl ShimNode {
     /// Like [`Self::on_message`] but with the current time, needed when the
     /// message may cause the primary to batch a carried client request.
     pub fn on_message_at(&mut self, msg: &ProtocolMessage, now: SimTime) -> Vec<Action> {
+        self.observe(now);
         match msg {
             ProtocolMessage::Error(err) => {
                 if self.is_primary() {
@@ -1214,15 +1434,22 @@ impl ShimNode {
         }
         self.expire_never_validated(cutoff);
         if self.ordering.caches_bodies() {
+            // Watched bodies still unproposed after two checkpoint
+            // intervals of validated progress sat in a proposal this node
+            // missed; they leave the watch like the other ledgers.
+            self.watch.retain(|_, w| w.stamp > cutoff);
+            self.settled.retain(|_, stamp| *stamp > cutoff);
             // Body-cache retention rides the same checkpoint rhythm: keep
             // bodies for ids the node still tracks (suppression window,
-            // retained validated batches, local commits, batcher lanes);
-            // anything older can no longer appear in a fresh proposal, and
-            // an unlucky drop just downgrades a cache hit to a fetch.
+            // watched bodies, retained validated batches, local commits,
+            // batcher lanes); anything older can no longer appear in a
+            // fresh proposal, and an unlucky drop just downgrades a cache
+            // hit to a fetch.
             let protected: std::collections::HashSet<TxnId> = self
                 .seen_txns
                 .keys()
                 .copied()
+                .chain(self.watch.keys().copied())
                 .chain(self.validated_txns.values().flatten().copied())
                 .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
                 .chain(self.batcher.pending_txn_ids())
@@ -1278,6 +1505,7 @@ impl ShimNode {
 
     /// Handles the expiry of a timer owned by this node.
     pub fn on_timer(&mut self, timer: ProtocolTimer, now: SimTime) -> Vec<Action> {
+        self.observe(now);
         match timer {
             ProtocolTimer::Consensus(t) => {
                 let actions = self.ordering.handle_timer(t);
@@ -1299,6 +1527,7 @@ impl ShimNode {
                 }
             }
             ProtocolTimer::BatchPoll => self.poll_batcher(now),
+            ProtocolTimer::Suspicion => self.on_suspicion_timer(now),
             ProtocolTimer::RegionProbation(region) => {
                 // Probation over: optimistically mark the region back up.
                 // If it is still down the next spawn there is rejected
@@ -1318,6 +1547,17 @@ impl ShimNode {
             _ => None,
         }
     }
+}
+
+/// The proposals a consensus message carries: a `PREPREPARE`, or the
+/// re-issues of a `NEWVIEW`.
+fn proposals_in(msg: &ConsensusMessage) -> impl Iterator<Item = &sbft_consensus::PrePrepare> {
+    let (single, reissued) = match msg {
+        ConsensusMessage::PrePrepare(pp) => (Some(pp), &[][..]),
+        ConsensusMessage::NewView(nv) => (None, nv.reissued.as_slice()),
+        _ => (None, &[][..]),
+    };
+    single.into_iter().chain(reissued)
 }
 
 #[cfg(test)]
@@ -1409,40 +1649,7 @@ mod tests {
         origin: usize,
         actions: Vec<Action>,
     ) -> Vec<(NodeId, Action)> {
-        let mut external = Vec::new();
-        let mut queue: std::collections::VecDeque<(usize, usize, ConsensusMessage)> =
-            std::collections::VecDeque::new();
-        let n = shim.nodes.len();
-        let push_actions =
-            |origin: usize,
-             actions: Vec<Action>,
-             queue: &mut std::collections::VecDeque<(usize, usize, ConsensusMessage)>,
-             external: &mut Vec<(NodeId, Action)>| {
-                for a in actions {
-                    match &a {
-                        Action::Send(env) => match (&env.to, &env.msg) {
-                            (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                                for to in 0..n {
-                                    if to != origin {
-                                        queue.push_back((origin, to, msg.clone()));
-                                    }
-                                }
-                            }
-                            (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                                queue.push_back((origin, to.0 as usize, msg.clone()));
-                            }
-                            _ => external.push((NodeId(origin as u32), a.clone())),
-                        },
-                        _ => external.push((NodeId(origin as u32), a.clone())),
-                    }
-                }
-            };
-        push_actions(origin, actions, &mut queue, &mut external);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            let acts = shim.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            push_actions(to, acts, &mut queue, &mut external);
-        }
-        external
+        run_consensus_where(shim, origin, actions, |_, _| true)
     }
 
     #[test]
@@ -1968,11 +2175,12 @@ mod tests {
         assert_eq!(env.msg.kind(), "CLIENT-REQUEST");
         assert_eq!(cft.requests_forwarded(), 1);
         // A PBFT non-primary caches the body instead: its clients address
-        // every node, so the primary has the request already.
+        // every node, so the primary has the request already. Nothing is
+        // sent (only the local suspicion timer starts).
         let mut shim = make_shim(base_config());
         let actions =
             shim.nodes[2].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        assert!(actions.is_empty());
+        assert!(envelopes(&actions).is_empty(), "no send and no forward");
         assert_eq!(shim.nodes[2].requests_forwarded(), 0);
         assert_eq!(shim.nodes[2].cached_bodies(), 1);
     }
@@ -2257,6 +2465,17 @@ mod tests {
         actions: Vec<Action>,
         down: &[usize],
     ) -> Vec<(NodeId, Action)> {
+        run_consensus_where(shim, origin, actions, |to, _| !down.contains(&to))
+    }
+
+    /// Like [`run_consensus`] but only messages `deliver(to, msg)` accepts
+    /// arrive; the others are dropped.
+    fn run_consensus_where(
+        shim: &mut Shim,
+        origin: usize,
+        actions: Vec<Action>,
+        deliver: impl Fn(usize, &ConsensusMessage) -> bool,
+    ) -> Vec<(NodeId, Action)> {
         let mut external = Vec::new();
         let mut queue: std::collections::VecDeque<(usize, usize, ConsensusMessage)> =
             std::collections::VecDeque::new();
@@ -2287,7 +2506,7 @@ mod tests {
             };
         push_actions(origin, actions, &mut queue, &mut external);
         while let Some((from, to, msg)) = queue.pop_front() {
-            if down.contains(&to) {
+            if !deliver(to, &msg) {
                 continue;
             }
             let acts = shim.nodes[to].on_consensus_message(NodeId(from as u32), msg);
@@ -2413,7 +2632,7 @@ mod tests {
 
     /// Delivers `req` to every shim node (PBFT clients address every node
     /// so replicas can seed their body caches), returning the primary's
-    /// actions and asserting the replicas neither forward nor propose.
+    /// actions and asserting the replicas neither send nor forward.
     fn broadcast_request(shim: &mut Shim, req: &ClientRequest) -> Vec<Action> {
         let mut primary_actions = Vec::new();
         for i in 0..shim.nodes.len() {
@@ -2422,7 +2641,7 @@ mod tests {
                 primary_actions = actions;
             } else {
                 assert!(
-                    actions.is_empty(),
+                    envelopes(&actions).is_empty(),
                     "a replica offers the body locally, nothing goes on the wire"
                 );
             }
@@ -2572,6 +2791,179 @@ mod tests {
                     node.cached_bodies()
                 );
             }
+        }
+    }
+
+    // ---- backup suspicion -------------------------------------------------
+
+    /// The suspicion timers among a list of actions, with their durations.
+    fn suspicion_timers(actions: &[Action]) -> Vec<sbft_types::SimDuration> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::StartTimer {
+                    timer: ProtocolTimer::Suspicion,
+                    duration,
+                } => Some(*duration),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + sbft_types::SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn backup_arms_one_suspicion_timer_for_many_bodies() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let timeout = shim.config.timers.node_timeout;
+        let mut timers = Vec::new();
+        for i in 0..6u64 {
+            let req = signed_request(&provider, i as u32, 0);
+            timers.extend(suspicion_timers(
+                &shim.nodes[2].on_client_request(&req, at_ms(i)),
+            ));
+        }
+        assert_eq!(timers, vec![timeout], "one timer, for the oldest body");
+        assert_eq!(shim.nodes[2].watch.len(), 6);
+        // The primary orders what it receives and watches nothing.
+        let actions =
+            shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        assert!(suspicion_timers(&actions).is_empty());
+        assert!(shim.nodes[0].watch.is_empty());
+        // A crash restart forgets the watch.
+        shim.nodes[2].crash();
+        let _ = shim.nodes[2].crash_restart();
+        assert!(shim.nodes[2].watch.is_empty());
+    }
+
+    #[test]
+    fn preprepare_holding_an_id_disarms_it() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
+        let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
+        // A third body reaches the backups only.
+        let late = signed_request(&provider, 2, 0);
+        for node in &mut shim.nodes[1..] {
+            let _ = node.on_client_request(&late, SimTime::ZERO);
+        }
+        assert_eq!(shim.nodes[2].watch.len(), 3);
+        // Only the proposal reaches node 2 (no votes yet): its two ids
+        // leave the watch, the unproposed one stays.
+        let pp = proposal_of(&actions).expect("the primary proposes");
+        let _ = shim.nodes[2].on_consensus_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
+        let watched: Vec<TxnId> = shim.nodes[2].watch.keys().copied().collect();
+        assert_eq!(watched, vec![late.txn.id]);
+        // A client body for an id that already committed never enters.
+        let external = run_consensus(&mut shim, 0, actions);
+        assert!(external
+            .iter()
+            .any(|(n, a)| *n == NodeId(3) && matches!(a, Action::BatchCommitted { .. })));
+        let _ = shim.nodes[3].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        let watched: Vec<TxnId> = shim.nodes[3].watch.keys().copied().collect();
+        assert_eq!(watched, vec![late.txn.id]);
+    }
+
+    #[test]
+    fn overdue_body_with_a_silent_primary_requests_a_view_change() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let timeout = shim.config.timers.node_timeout;
+        let node = &mut shim.nodes[2];
+        let _ = node.on_client_request(&signed_request(&provider, 0, 0), at_ms(10));
+        // Fired early (a stale timer): nothing is overdue, so it re-arms
+        // for the remaining time.
+        let early = node.on_timer(ProtocolTimer::Suspicion, at_ms(20));
+        assert!(envelopes(&early).is_empty());
+        assert_eq!(
+            suspicion_timers(&early),
+            vec![timeout - sbft_types::SimDuration::from_millis(10)]
+        );
+        // At the deadline the primary has proposed nothing: view change.
+        let actions = node.on_timer(ProtocolTimer::Suspicion, at_ms(10) + timeout);
+        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
+        assert_eq!(node.suspicions.get(), 1);
+        // Suspecting once per view is enough.
+        let _ = node.on_client_request(&signed_request(&provider, 1, 0), at_ms(5_000));
+        assert!(node
+            .on_timer(ProtocolTimer::Suspicion, at_ms(10_000))
+            .is_empty());
+        assert_eq!(node.suspicions.get(), 1);
+    }
+
+    #[test]
+    fn a_primary_that_keeps_proposing_is_not_suspected() {
+        // Node 3 holds a body the primary has not proposed (yet), but the
+        // primary keeps getting other proposals accepted there: it is not
+        // silent, so the deadline moves with its progress (the default
+        // node timeout, 1 s, outlasts the 900 ms until the proposal).
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let timeout = shim.config.timers.node_timeout;
+        let _ = shim.nodes[3].on_client_request(&signed_request(&provider, 9, 0), at_ms(0));
+        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), at_ms(900));
+        let actions = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), at_ms(900));
+        let pp = proposal_of(&actions).expect("the primary proposes");
+        let _ = shim.nodes[3].on_consensus_message_at(
+            NodeId(0),
+            ConsensusMessage::PrePrepare(pp),
+            at_ms(900),
+        );
+        let fired = shim.nodes[3].on_timer(ProtocolTimer::Suspicion, SimTime::ZERO + timeout);
+        assert!(envelopes(&fired).is_empty(), "no VIEWCHANGE");
+        assert_eq!(
+            suspicion_timers(&fired),
+            vec![sbft_types::SimDuration::from_millis(900)]
+        );
+    }
+
+    #[test]
+    fn new_primary_rebatches_stranded_bodies_but_not_reissued_prepared_ones() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        // Batch 1 = {r0, r1} prepares everywhere but its COMMITs are lost.
+        let (r0, r1) = (
+            signed_request(&provider, 0, 0),
+            signed_request(&provider, 1, 0),
+        );
+        let _ = broadcast_request(&mut shim, &r0);
+        let actions = broadcast_request(&mut shim, &r1);
+        let _ = run_consensus_where(&mut shim, 0, actions, |_, msg| {
+            !matches!(msg, ConsensusMessage::Commit(_))
+        });
+        // The primary dies; r2 and r3 reach only the backups.
+        let (r2, r3) = (
+            signed_request(&provider, 2, 0),
+            signed_request(&provider, 3, 0),
+        );
+        for req in [&r2, &r3] {
+            for node in &mut shim.nodes[1..] {
+                let _ = node.on_client_request(req, SimTime::ZERO);
+            }
+        }
+        // The backups replace it: node 1 re-issues batch 1 as prepared
+        // and re-batches only the stranded r2 and r3.
+        let replace = ProtocolMessage::Replace(ReplaceMessage {
+            subject: RecoverySubject::Seq(SeqNum(1)),
+            signature: Signature::ZERO,
+        });
+        for i in 1..4 {
+            let actions = shim.nodes[i].on_message(&replace);
+            let _ = run_consensus_partitioned(&mut shim, i, actions, &[0]);
+        }
+        let node = &shim.nodes[1];
+        assert!(node.is_primary());
+        assert_eq!(node.stranded_reproposed.get(), 2);
+        assert!(node.watch.is_empty());
+        let ids = |seq: u64| node.committed_batch(SeqNum(seq)).map(Batch::txn_ids);
+        assert_eq!(ids(1), Some(vec![r0.txn.id, r1.txn.id]));
+        assert_eq!(ids(2), Some(vec![r2.txn.id, r3.txn.id]));
+        assert_eq!(ids(3), None, "nothing is ordered twice");
+        for backup in &shim.nodes[2..] {
+            assert!(backup.watch.is_empty(), "the re-proposal disarmed them");
         }
     }
 }

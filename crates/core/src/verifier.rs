@@ -50,6 +50,9 @@ struct SeqState {
     /// Executors whose results a re-execution discarded: their (late or
     /// duplicated) `VERIFY`s are ignored from then on.
     discarded: BTreeSet<ExecutorId>,
+    /// Transactions of this batch whose client already retried while it
+    /// was unmatched: a second such retry blames the primary.
+    retried: BTreeSet<TxnId>,
 }
 
 /// Protocol parameters of the verifier, fixed at deployment time.
@@ -951,10 +954,24 @@ impl Verifier {
                     )]
                 } else {
                     // (iii) Some VERIFY messages arrived but not f_E + 1
-                    // matching ones: only a byzantine primary can cause
-                    // this, ask for its replacement.
+                    // matching ones. An honest batch's VERIFYs may still be
+                    // arriving (the retry raced them), so the primary is
+                    // blamed only once every spawned executor answered
+                    // without a match, or when this client's next retry
+                    // still finds the batch unmatched. Until then the
+                    // subject is outstanding and the response's ACK
+                    // resolves it.
                     let subject = RecoverySubject::Txn(txn);
                     self.outstanding.insert(subject);
+                    let spawned_per_batch = self.config.spawned_per_batch;
+                    let blame = self.pending.get_mut(seq).is_none_or(|state| {
+                        let all_answered = state.verifies.len() >= spawned_per_batch;
+                        let retried_before = !state.retried.insert(txn);
+                        all_answered || retried_before
+                    });
+                    if !blame {
+                        return Vec::new();
+                    }
                     vec![Action::send(
                         self.me(),
                         Destination::AllNodes,
@@ -1411,23 +1428,67 @@ mod tests {
         assert!(actions.iter().any(|a| a.sends_kind("ACK")));
     }
 
-    #[test]
-    fn client_retry_with_divergent_verifies_requests_replacement() {
-        let fx = Fixture::new();
-        let mut v = fx.verifier(ConflictHandling::UnknownRwSets);
-        // Verifies exist for the transaction but they do not match.
-        let _ = v.on_verify(&fx.verify_msg(1, 1, 6, 1, 1));
-        let _ = v.on_verify(&fx.verify_msg(2, 1, 6, 2, 1));
-        let txn = Transaction::new(TxnId::new(ClientId(6), 1), vec![Operation::Read(Key(1))]);
+    /// A signed client retry of transaction `(client, counter)`.
+    fn retry(fx: &Fixture, client: u32, counter: u64) -> ClientRequest {
+        let txn = Transaction::new(
+            TxnId::new(ClientId(client), counter),
+            vec![Operation::Read(Key(1))],
+        );
         let digest = ClientRequest::signing_digest(&txn);
-        let req = ClientRequest {
+        ClientRequest {
             signature: fx
                 .provider
-                .handle(ComponentId::Client(ClientId(6)))
+                .handle(ComponentId::Client(ClientId(client)))
                 .sign(&digest),
             txn,
-        };
+        }
+    }
+
+    #[test]
+    fn client_retry_with_divergent_verifies_requests_replacement() {
+        // Two of the four spawned executors answered with different
+        // results. The first retry may have raced honest VERIFYs still
+        // on their way, so only the client's next retry, finding the
+        // batch still unmatched, blames the primary.
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::UnknownRwSets);
+        let _ = v.on_verify(&fx.verify_msg(1, 1, 6, 1, 1));
+        let _ = v.on_verify(&fx.verify_msg(2, 1, 6, 2, 1));
+        let req = retry(&fx, 6, 1);
+        assert!(v.on_client_request(&req).is_empty());
         let actions = v.on_client_request(&req);
+        assert!(actions.iter().any(|a| a.sends_kind("REPLACE")));
+    }
+
+    #[test]
+    fn retry_racing_an_honest_batch_sends_no_replace() {
+        // One VERIFY of an honest batch has landed when the client's retry
+        // arrives: no REPLACE. The subject stays outstanding, and the
+        // matching VERIFY answers the client and ACKs it.
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let _ = v.on_verify(&fx.verify_msg(1, 1, 6, 7, 1));
+        let actions = v.on_client_request(&retry(&fx, 6, 1));
+        assert!(actions.is_empty(), "{:?}", response_kinds(&actions));
+        let actions = v.on_verify(&fx.verify_msg(2, 1, 6, 7, 1));
+        let kinds = response_kinds(&actions);
+        assert!(kinds.contains(&"RESPONSE"));
+        assert!(kinds.contains(&"ACK"), "the outstanding retry is resolved");
+        assert!(!kinds.contains(&"REPLACE"));
+    }
+
+    #[test]
+    fn retry_after_every_executor_answered_unmatched_replaces_at_once() {
+        // Every spawned executor answered and no f_E + 1 results match:
+        // waiting cannot help, so the first retry already blames the
+        // primary.
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::UnknownRwSets);
+        for executor in 1..=3 {
+            let _ = v.on_verify(&fx.verify_msg(executor, 2, 6, executor, 1));
+        }
+        let _ = v.on_verify(&fx.verify_msg(4, 2, 6, 4, 1));
+        let actions = v.on_client_request(&retry(&fx, 6, 2));
         assert!(actions.iter().any(|a| a.sends_kind("REPLACE")));
     }
 

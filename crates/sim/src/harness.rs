@@ -310,6 +310,12 @@ impl SimHarness {
 
     /// Runs the simulation to completion and returns the metrics.
     pub fn run(mut self) -> RunMetrics {
+        self.run_to_end()
+    }
+
+    /// [`Self::run`], keeping the harness (and its system) for
+    /// inspection afterwards.
+    fn run_to_end(&mut self) -> RunMetrics {
         let active_clients = self
             .params
             .num_clients
@@ -412,7 +418,7 @@ impl SimHarness {
             .map(sbft_core::ShimNode::view_changes)
             .max()
             .unwrap_or(0);
-        self.metrics
+        std::mem::take(&mut self.metrics)
     }
 
     fn handle_event(&mut self, event: Event) {
@@ -534,9 +540,11 @@ impl SimHarness {
                             self.tracer.emit(seq.0, Stage::PrePrepare, done);
                         }
                         match from.as_node() {
-                            Some(sender) => {
-                                self.system.nodes[idx].on_consensus_message(sender, c.clone())
-                            }
+                            Some(sender) => self.system.nodes[idx].on_consensus_message_at(
+                                sender,
+                                c.clone(),
+                                done,
+                            ),
                             None => Vec::new(),
                         }
                     }
@@ -1508,6 +1516,11 @@ mod tests {
     /// A durable deployment with short timers, optionally losing its
     /// primary to `crash`.
     fn failover_run(crash: Option<CrashRestart>) -> RunMetrics {
+        failover_harness(crash).run()
+    }
+
+    /// The harness [`failover_run`] runs.
+    fn failover_harness(crash: Option<CrashRestart>) -> SimHarness {
         let mut cfg = tiny_config();
         cfg.durability = sbft_types::DurabilityConfig::enabled();
         cfg.timers.client_timeout = SimDuration::from_millis(120);
@@ -1522,7 +1535,7 @@ mod tests {
             crash,
             ..SimParams::default()
         };
-        SimHarness::new(system, params).run()
+        SimHarness::new(system, params)
     }
 
     #[test]
@@ -1547,6 +1560,87 @@ mod tests {
             "failover committed {} of the fault-free {}",
             failover.committed_txns,
             fault_free.committed_txns
+        );
+    }
+
+    #[test]
+    fn backups_replace_a_silent_primary_from_the_client_broadcast() {
+        // PBFT clients send every request to every node, so the backups
+        // hold the requests the dark primary never proposed. They suspect
+        // it one node timeout after the primary went silent, and the new
+        // primary re-proposes those requests: service resumes before the
+        // client timeout and the retransmit timer of the verifier's ERROR
+        // path could even have fired.
+        let crash_at = SimDuration::from_millis(100);
+        let sink = std::sync::Arc::new(sbft_telemetry::MemorySink::new());
+        let mut harness = failover_harness(Some(CrashRestart::of(
+            NodeId(0),
+            crash_at,
+            SimDuration::from_secs(1),
+        )))
+        .with_tracer(std::sync::Arc::clone(&sink) as std::sync::Arc<dyn TraceSink>);
+        let metrics = harness.run_to_end();
+        let timers = harness.system.config.timers;
+
+        let crash = (SimTime::ZERO + crash_at).as_micros();
+        let end = harness.end_time().as_micros();
+        let mut responses: Vec<u64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.stage == Stage::Respond)
+            .map(|e| e.at.as_micros())
+            .filter(|t| (crash..end).contains(t))
+            .collect();
+        responses.sort_unstable();
+        let mut longest_gap = 0;
+        let mut last = crash;
+        for t in responses.into_iter().chain([end]) {
+            longest_gap = longest_gap.max(t - last);
+            last = t;
+        }
+        let fallback = (timers.client_timeout + timers.retransmit_timeout).as_micros();
+        assert!(
+            longest_gap < fallback,
+            "no response for {longest_gap} µs after the crash (fallback path: {fallback} µs)"
+        );
+        assert_eq!(metrics.view_changes, 1, "exactly one primary replacement");
+        assert_eq!(metrics.aborted_txns, 0);
+        assert_eq!(metrics.divergent_aborts, 0);
+
+        // No transaction was ordered twice: every transaction the verifier
+        // applied reached its client once, or its RESPONSE is still on the
+        // wire to a client that waits for it.
+        let client_commits: u64 = harness
+            .system
+            .clients
+            .iter()
+            .map(sbft_core::ClientRole::completed)
+            .sum();
+        let in_flight: std::collections::HashSet<TxnId> = harness
+            .queue
+            .iter()
+            .filter_map(|Reverse(event)| match &event.kind {
+                EventKind::Deliver {
+                    msg: ProtocolMessage::Response(r),
+                    ..
+                } if harness.submit_times.contains_key(&r.txn) => Some(r.txn),
+                _ => None,
+            })
+            .collect();
+        let verifier_commits = harness
+            .system
+            .registry
+            .counter_value("verifier.committed_txns");
+        assert!(client_commits > 0);
+        assert_eq!(verifier_commits, client_commits + in_flight.len() as u64);
+        assert!(
+            harness.system.registry.sum_counters("stranded_reproposed") > 0,
+            "the new primary re-proposed the requests the old one never did"
+        );
+        assert_eq!(
+            failover_run(None).view_changes,
+            0,
+            "fault-free: no suspicion"
         );
     }
 
