@@ -27,6 +27,12 @@ pub enum ConsensusTimer {
     /// `STATERESPONSE` arrives. Retries rotate through the peers one at a
     /// time instead of re-broadcasting.
     StateTransfer,
+    /// A backup's one suspicion timer (Castro & Liskov §4.4): armed for a
+    /// node timeout on the first client body no proposal has carried,
+    /// restarted whenever the primary gets a proposal accepted or a view
+    /// installs while such bodies remain, and asking for a view change on
+    /// expiry, once per view.
+    Suspicion,
 }
 
 /// An action requested by a consensus state machine.

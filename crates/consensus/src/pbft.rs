@@ -24,7 +24,12 @@
 //!   `checkpoint_interval` sequence numbers a node broadcasts only the
 //!   commit certificates it collected since the last checkpoint, letting
 //!   nodes kept in the dark catch up and letting everyone garbage-collect
-//!   the log.
+//!   the log;
+//! * **backup suspicion** (Castro & Liskov §4.4, the node timer of
+//!   Section V-A): a backup that holds a client body no proposal has
+//!   carried for a node timeout, while the primary gets nothing accepted,
+//!   asks for a view change; as the next primary it hands those stranded
+//!   requests back for re-proposal.
 //!
 //! Byzantine behaviour is *not* implemented here — honest replicas only.
 //! The attack layer of `sbft-core` perturbs the actions of compromised
@@ -43,10 +48,10 @@ use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, ComponentId, Digest, FaultParams, NodeId, SeqNum, ShardPlan, SimDuration, Transaction,
-    TxnId, ViewNumber,
+    Batch, ComponentId, Digest, FaultParams, NodeId, SeqNum, ShardPlan, Signature, SimDuration,
+    Transaction, TxnId, ViewNumber,
 };
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A PBFT replica running on one shim node.
@@ -111,6 +116,22 @@ pub struct PbftReplica {
     /// Reconstruction digest mismatches that triggered the full-batch
     /// fallback.
     fallbacks: Counter,
+
+    /// Client bodies this backup cached that no proposal has carried yet,
+    /// with the client signature (a new primary re-proposes them, see
+    /// [`OrderingProtocol::take_stranded`]) and the stable checkpoint at
+    /// arrival: two checkpoint intervals later the id must have sat in a
+    /// proposal this replica missed, and the entry expires.
+    unproposed: BTreeMap<TxnId, (Signature, SeqNum)>,
+    /// Ids an accepted, own or adopted proposal carried, stamped and
+    /// expired like `unproposed`: a body that arrives after its proposal
+    /// never counts as unproposed.
+    proposed: HashMap<TxnId, SeqNum>,
+    /// Whether the suspicion timer already asked to replace the current
+    /// view's primary (cleared when a view installs).
+    suspected: bool,
+    /// View changes started from the suspicion timer.
+    suspicions: Counter,
 }
 
 /// A proposal whose batch is still being reconstructed. The entry
@@ -191,6 +212,10 @@ impl PbftReplica {
             fetches_sent: Counter::new(),
             fills_served: Counter::new(),
             fallbacks: Counter::new(),
+            unproposed: BTreeMap::new(),
+            proposed: HashMap::new(),
+            suspected: false,
+            suspicions: Counter::new(),
         }
     }
 
@@ -495,6 +520,9 @@ impl PbftReplica {
                     }
                 }
                 if was_dark {
+                    // Any unproposed body may have ridden a batch this
+                    // replica only learned had committed.
+                    self.unproposed.clear();
                     actions.push(ConsensusAction::CaughtUp { up_to: seq });
                 }
             }
@@ -503,6 +531,10 @@ impl PbftReplica {
         self.pending_certs.retain(|s, _| *s > seq);
         self.checkpoint_votes.retain(|s, _| *s > seq);
         self.adopted_from_peers.retain(|s| *s > seq);
+        let span = 2 * self.checkpoint_interval;
+        self.unproposed
+            .retain(|_, (_, stamp)| stamp.0 + span > seq.0);
+        self.proposed.retain(|_, stamp| stamp.0 + span > seq.0);
         actions
     }
 
@@ -602,6 +634,9 @@ impl PbftReplica {
                 self.make_pre_prepare(target, *seq, *digest, batch, *plan)
             })
             .collect();
+        for pp in &reissued {
+            self.mark_proposed(&pp.txn_ids);
+        }
         let digest = sbft_crypto::digest_u64s(
             "newview",
             &[target.0, senders.len() as u64, reissued.len() as u64],
@@ -657,13 +692,66 @@ impl PbftReplica {
             .max(highest_prepared)
             .max(self.log.stable_seq().0);
         self.next_seq = SeqNum(highest_relevant + 1);
+        // The new primary gets a full node timeout before it is suspected.
+        self.suspected = false;
         vec![
             ConsensusAction::CancelTimer(ConsensusTimer::ViewChange(view)),
             ConsensusAction::ViewInstalled {
                 view,
                 primary: self.primary_of(view),
             },
+            self.restart_suspicion(),
         ]
+    }
+
+    // ----- backup suspicion -------------------------------------------------
+
+    /// Ids a proposal (or an adopted commit) carried leave the unproposed
+    /// set for good.
+    fn mark_proposed(&mut self, ids: &[TxnId]) {
+        let stamp = self.log.stable_seq();
+        for id in ids {
+            self.unproposed.remove(id);
+            self.proposed.insert(*id, stamp);
+        }
+    }
+
+    /// The primary got a proposal accepted here, or a view installed: the
+    /// suspicion timer restarts for a full node timeout while unproposed
+    /// bodies remain, and stops otherwise.
+    fn restart_suspicion(&self) -> ConsensusAction {
+        if self.unproposed.is_empty() || self.suspected || self.is_primary() {
+            ConsensusAction::CancelTimer(ConsensusTimer::Suspicion)
+        } else {
+            self.arm_suspicion()
+        }
+    }
+
+    fn arm_suspicion(&self) -> ConsensusAction {
+        ConsensusAction::StartTimer {
+            timer: ConsensusTimer::Suspicion,
+            duration: self.node_timeout,
+        }
+    }
+
+    /// The suspicion timer expired: a body has waited a node timeout with
+    /// no proposal accepted here, so ask to replace the primary, once per
+    /// view. A replica that missed a proposal cannot tell whether the
+    /// bodies rode it: it leaves the primary to the request timers and the
+    /// verifier's path, and looks again one node timeout later.
+    fn on_suspicion_timer(&mut self) -> Vec<ConsensusAction> {
+        if self.suspected || self.is_primary() || self.unproposed.is_empty() {
+            return Vec::new();
+        }
+        if self.log.has_unproposed_entries() {
+            return vec![self.arm_suspicion()];
+        }
+        self.suspected = true;
+        let actions = self.start_view_change(self.view.next());
+        if !actions.is_empty() {
+            self.suspicions.inc();
+        }
+        actions
     }
 
     // ----- proposal reconstruction ------------------------------------------
@@ -840,6 +928,10 @@ impl PbftReplica {
                 return Vec::new(); // duplicate of an in-flight reconstruction
             }
         }
+        // The proposal is accepted: its ids are proposed, and the primary
+        // showed progress.
+        self.mark_proposed(&pp.txn_ids);
+        let progress = self.restart_suspicion();
         // Log hit: a re-issue of a batch this replica already accepted in an
         // earlier view. The logged batch was digest-checked when it was
         // accepted, so it is re-seated as is.
@@ -852,7 +944,9 @@ impl PbftReplica {
             self.cache_hits.add(pp.txn_ids.len() as u64);
             self.log
                 .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch, pp.plan);
-            return self.after_pre_prepare(pp.view, pp.seq, pp.digest);
+            let mut actions = self.after_pre_prepare(pp.view, pp.seq, pp.digest);
+            actions.push(progress);
+            return actions;
         }
         // Reconstruct from the body cache; fetch only what is missing.
         let missing: BTreeSet<TxnId> = pp
@@ -879,11 +973,13 @@ impl PbftReplica {
                 last_filler: None,
             },
         );
-        if need_fetch {
+        let mut actions = if need_fetch {
             self.send_fetch(pp.seq)
         } else {
             self.try_complete_reconstruction(pp.seq)
-        }
+        };
+        actions.push(progress);
+        actions
     }
 
     fn on_batch_fetch(&mut self, from: NodeId, bf: BatchFetch) -> Vec<ConsensusAction> {
@@ -1190,6 +1286,7 @@ impl PbftReplica {
                 self.next_seq = self.next_seq.max(SeqNum(floor.0 + 1));
                 self.catch_ups += 1;
                 useful = true;
+                self.unproposed.clear();
                 actions.push(ConsensusAction::CaughtUp { up_to: floor });
             }
         }
@@ -1208,6 +1305,7 @@ impl PbftReplica {
             entry.plan = e.plan;
             self.pending_certs.insert(e.seq, Arc::clone(&e.certificate));
             self.adopted_from_peers.insert(e.seq);
+            self.mark_proposed(&e.batch.txn_ids());
             self.next_seq = self.next_seq.max(SeqNum(e.seq.0 + 1));
             useful = true;
             actions.push(ConsensusAction::CancelTimer(ConsensusTimer::Request(e.seq)));
@@ -1310,6 +1408,7 @@ impl OrderingProtocol for PbftReplica {
         {
             return Vec::new();
         }
+        self.mark_proposed(&proposal.txn_ids);
         let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::PrePrepare(
             proposal,
         ))];
@@ -1363,6 +1462,7 @@ impl OrderingProtocol for PbftReplica {
                 }
             }
             ConsensusTimer::StateTransfer => self.retransmit_state_request(),
+            ConsensusTimer::Suspicion => self.on_suspicion_timer(),
         }
     }
 
@@ -1443,7 +1543,7 @@ impl OrderingProtocol for PbftReplica {
         true
     }
 
-    fn offer_body(&mut self, txn: Transaction) -> Vec<ConsensusAction> {
+    fn offer_body(&mut self, txn: Transaction, signature: Signature) -> Vec<ConsensusAction> {
         let id = txn.id;
         self.body_cache.insert(id, txn);
         // The body may be the last piece of an in-flight reconstruction
@@ -1457,19 +1557,34 @@ impl OrderingProtocol for PbftReplica {
         for seq in completable {
             actions.extend(self.try_complete_reconstruction(seq));
         }
+        // A backup watches the primary until a proposal carries the id;
+        // the first such body arms the suspicion timer.
+        if !self.is_primary() && !self.proposed.contains_key(&id) {
+            let first = self.unproposed.is_empty();
+            let stamp = self.log.stable_seq();
+            self.unproposed.entry(id).or_insert((signature, stamp));
+            if first && !self.suspected {
+                actions.push(self.arm_suspicion());
+            }
+        }
         actions
     }
 
-    fn missed_proposals(&self) -> bool {
-        self.log.has_unproposed_entries()
-    }
-
-    fn cached_body(&self, id: TxnId) -> Option<Transaction> {
-        self.body_cache.get(&id).cloned()
+    fn take_stranded(&mut self) -> Vec<(Transaction, Signature)> {
+        let stranded = std::mem::take(&mut self.unproposed);
+        if self.log.has_unproposed_entries() {
+            return Vec::new();
+        }
+        stranded
+            .into_iter()
+            .filter_map(|(id, (signature, _))| Some((self.body_cache.get(&id)?.clone(), signature)))
+            .collect()
     }
 
     fn gc_bodies(&mut self, protected: &HashSet<TxnId>) {
-        self.body_cache.retain(|id, _| protected.contains(id));
+        let unproposed = &self.unproposed;
+        self.body_cache
+            .retain(|id, _| protected.contains(id) || unproposed.contains_key(id));
     }
 
     fn pending_reconstructions(&self) -> Vec<SeqNum> {
@@ -1486,6 +1601,7 @@ impl OrderingProtocol for PbftReplica {
         self.fetches_sent = registry.counter(&format!("{prefix}.digest.fetches_sent"));
         self.fills_served = registry.counter(&format!("{prefix}.digest.fills_served"));
         self.fallbacks = registry.counter(&format!("{prefix}.digest.fallbacks"));
+        self.suspicions = registry.counter(&format!("{prefix}.suspicions"));
     }
 
     fn name(&self) -> &'static str {
@@ -1551,7 +1667,7 @@ mod tests {
         fn offer_to_all(&mut self, batch: &Batch) {
             for i in 0..self.replicas.len() {
                 for txn in batch.txns() {
-                    let actions = self.replicas[i].offer_body(txn.clone());
+                    let actions = self.replicas[i].offer_body(txn.clone(), Signature::ZERO);
                     self.run_actions(NodeId(i as u32), actions);
                 }
             }
@@ -2477,7 +2593,7 @@ mod tests {
         let b = wide_batch(0, 3);
         // Warm all but one body on node 1 so the proposal leaves a gap.
         for txn in &b.txns()[..2] {
-            let _ = shim.replicas[1].offer_body(txn.clone());
+            let _ = shim.replicas[1].offer_body(txn.clone(), Signature::ZERO);
         }
         let actions = shim.replicas[0].submit_batch(b.clone(), ShardPlan::Unplanned);
         let proposal = actions
@@ -2497,7 +2613,7 @@ mod tests {
         assert_eq!(shim.replicas[1].pending_reconstructions(), vec![SeqNum(1)]);
         // The client broadcast lands before any fill: reconstruction
         // completes and the replica votes.
-        let done = shim.replicas[1].offer_body(b.txns()[2].clone());
+        let done = shim.replicas[1].offer_body(b.txns()[2].clone(), Signature::ZERO);
         assert!(
             done.iter()
                 .any(|a| matches!(a, ConsensusAction::Broadcast(ConsensusMessage::Prepare(_)))),
@@ -2570,7 +2686,7 @@ mod tests {
         let b = wide_batch(0, 3);
         // Node 1 holds all bodies but the last.
         for txn in &b.txns()[..2] {
-            let _ = shim.replicas[1].offer_body(txn.clone());
+            let _ = shim.replicas[1].offer_body(txn.clone(), Signature::ZERO);
         }
         let actions = shim.replicas[0].submit_batch(b.clone(), ShardPlan::Unplanned);
         let proposal = actions
@@ -2670,17 +2786,19 @@ mod tests {
 
     #[test]
     fn gc_bodies_keeps_only_protected_ids() {
+        // The primary's own bodies are never unproposed at it, so the
+        // protected set alone decides what survives.
         let mut shim = TestShim::new(4);
         let b = wide_batch(0, 4);
         for txn in b.txns() {
-            let _ = shim.replicas[1].offer_body(txn.clone());
+            let _ = shim.replicas[0].offer_body(txn.clone(), Signature::ZERO);
         }
-        assert_eq!(shim.replicas[1].cached_bodies(), 4);
+        assert_eq!(shim.replicas[0].cached_bodies(), 4);
         let protected: HashSet<TxnId> = b.txns()[..2].iter().map(|t| t.id).collect();
-        shim.replicas[1].gc_bodies(&protected);
-        assert_eq!(shim.replicas[1].cached_bodies(), 2);
-        shim.replicas[1].gc_bodies(&HashSet::new());
-        assert_eq!(shim.replicas[1].cached_bodies(), 0);
+        shim.replicas[0].gc_bodies(&protected);
+        assert_eq!(shim.replicas[0].cached_bodies(), 2);
+        shim.replicas[0].gc_bodies(&HashSet::new());
+        assert_eq!(shim.replicas[0].cached_bodies(), 0);
     }
 
     #[test]
@@ -2776,5 +2894,164 @@ mod tests {
                 "node {i} rebuilds the re-issue from its log"
             );
         }
+    }
+
+    // ----- backup suspicion ---------------------------------------------------
+
+    /// The suspicion-timer starts among `actions`, with their durations.
+    fn suspicion_starts(actions: &[ConsensusAction]) -> Vec<SimDuration> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ConsensusAction::StartTimer {
+                    timer: ConsensusTimer::Suspicion,
+                    duration,
+                } => Some(*duration),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn sends_view_change(actions: &[ConsensusAction]) -> bool {
+        actions.iter().any(|a| a.is_message_kind("VIEWCHANGE"))
+    }
+
+    /// The `PREPREPARE` the primary broadcasts for `b`.
+    fn proposal_for(shim: &mut TestShim, b: Batch) -> ConsensusMessage {
+        let actions = shim.replicas[0].submit_batch(b, ShardPlan::Unplanned);
+        actions
+            .into_iter()
+            .find_map(|a| match a {
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m),
+                _ => None,
+            })
+            .expect("proposal broadcast")
+    }
+
+    #[test]
+    fn a_backup_arms_one_suspicion_timer_for_many_bodies() {
+        let mut shim = TestShim::new(4);
+        let timeout = SimDuration::from_millis(100);
+        let b = wide_batch(0, 6);
+        let mut starts = Vec::new();
+        for txn in b.txns() {
+            starts.extend(suspicion_starts(
+                &shim.replicas[2].offer_body(txn.clone(), Signature::ZERO),
+            ));
+        }
+        assert_eq!(starts, vec![timeout], "one timer, armed by the first body");
+        assert_eq!(shim.replicas[2].unproposed.len(), 6);
+        // The unproposed bodies outlive a body-cache GC that protects none.
+        shim.replicas[2].gc_bodies(&HashSet::new());
+        assert_eq!(shim.replicas[2].cached_bodies(), 6);
+        // The primary orders what it receives and watches nothing.
+        let own = shim.replicas[0].offer_body(b.txns()[0].clone(), Signature::ZERO);
+        assert!(suspicion_starts(&own).is_empty());
+        assert!(shim.replicas[0].unproposed.is_empty());
+    }
+
+    #[test]
+    fn an_accepted_proposal_disarms_suspicion_and_late_bodies_stay_out() {
+        let mut shim = TestShim::new(4);
+        let b = wide_batch(0, 3);
+        for txn in b.txns() {
+            let _ = shim.replicas[2].offer_body(txn.clone(), Signature::ZERO);
+        }
+        // Only the proposal of the first two bodies reaches node 2: their
+        // ids leave the unproposed set, and the timer restarts for the
+        // third.
+        let first = proposal_for(&mut shim, Batch::new(b.txns()[..2].to_vec()));
+        let actions = shim.replicas[2].handle_message(NodeId(0), first);
+        assert_eq!(suspicion_starts(&actions).len(), 1);
+        let left: Vec<TxnId> = shim.replicas[2].unproposed.keys().copied().collect();
+        assert_eq!(left, vec![b.txns()[2].id]);
+        // The proposal carrying the last one stops the timer.
+        let second = proposal_for(&mut shim, Batch::new(b.txns()[2..].to_vec()));
+        let actions = shim.replicas[2].handle_message(NodeId(0), second);
+        assert!(suspicion_starts(&actions).is_empty());
+        assert!(actions.contains(&ConsensusAction::CancelTimer(ConsensusTimer::Suspicion)));
+        assert!(shim.replicas[2].unproposed.is_empty());
+        // A client body whose id a proposal already carried never enters.
+        let late = shim.replicas[2].offer_body(b.txns()[0].clone(), Signature::ZERO);
+        assert!(suspicion_starts(&late).is_empty());
+        assert!(shim.replicas[2].unproposed.is_empty());
+    }
+
+    #[test]
+    fn an_overdue_body_with_a_silent_primary_gives_one_view_change_per_view() {
+        let mut shim = TestShim::new(4);
+        let b = wide_batch(0, 2);
+        let _ = shim.replicas[2].offer_body(b.txns()[0].clone(), Signature::ZERO);
+        // The primary proposed nothing for a node timeout: view change.
+        let fired = shim.replicas[2].handle_timer(ConsensusTimer::Suspicion);
+        assert!(sends_view_change(&fired));
+        assert_eq!(shim.replicas[2].suspicions.get(), 1);
+        // Suspecting once per view is enough: a later body arms nothing,
+        // and a stray expiry asks for nothing.
+        let later = shim.replicas[2].offer_body(b.txns()[1].clone(), Signature::ZERO);
+        assert!(suspicion_starts(&later).is_empty());
+        assert!(shim.replicas[2]
+            .handle_timer(ConsensusTimer::Suspicion)
+            .is_empty());
+        assert_eq!(shim.replicas[2].suspicions.get(), 1);
+        // The other backups agree; node 1 installs view 1, and node 2
+        // restarts its timer for the new primary.
+        shim.run_actions(NodeId(2), fired);
+        for i in [1u32, 3] {
+            let actions = shim.replicas[i as usize].request_view_change();
+            shim.run_actions(NodeId(i), actions);
+        }
+        assert_eq!(shim.replicas[2].view(), ViewNumber(1));
+        assert!(!shim.replicas[2].suspected);
+        // Still silent about both bodies: one more view change.
+        let fired = shim.replicas[2].handle_timer(ConsensusTimer::Suspicion);
+        assert!(fired.iter().any(|a| matches!(
+            a,
+            ConsensusAction::Broadcast(ConsensusMessage::ViewChange(vc)) if vc.new_view == ViewNumber(2)
+        )));
+        assert_eq!(shim.replicas[2].suspicions.get(), 2);
+    }
+
+    #[test]
+    fn a_primary_that_keeps_proposing_is_not_suspected() {
+        // Node 3 holds a body the primary has not proposed (yet), but the
+        // primary gets another proposal accepted there: it is not silent,
+        // so the timer restarts for a full node timeout instead of
+        // expiring at the body's deadline.
+        let mut shim = TestShim::new(4);
+        let b = wide_batch(0, 2);
+        let armed = shim.replicas[3].offer_body(b.txns()[1].clone(), Signature::ZERO);
+        assert_eq!(suspicion_starts(&armed).len(), 1);
+        let _ = shim.replicas[3].offer_body(b.txns()[0].clone(), Signature::ZERO);
+        let other = proposal_for(&mut shim, Batch::new(b.txns()[..1].to_vec()));
+        let actions = shim.replicas[3].handle_message(NodeId(0), other);
+        assert!(!sends_view_change(&actions));
+        assert_eq!(
+            suspicion_starts(&actions),
+            vec![SimDuration::from_millis(100)],
+            "the deadline moves with the primary's progress"
+        );
+        assert_eq!(shim.replicas[3].suspicions.get(), 0);
+    }
+
+    #[test]
+    fn a_backup_that_missed_a_proposal_does_not_suspect() {
+        // Node 3 holds a PREPARE for sequence 1 but never received its
+        // proposal: it cannot tell whether its unproposed body rode that
+        // proposal, so it neither suspects nor hands the body back.
+        let mut shim = TestShim::new(4);
+        let _ = shim.replicas[3].offer_body(batch(5).txns()[0].clone(), Signature::ZERO);
+        let vote = shim.replicas[1].make_prepare(ViewNumber(0), SeqNum(1), Digest::ZERO);
+        let _ = shim.replicas[3].handle_message(NodeId(1), ConsensusMessage::Prepare(vote));
+        assert!(shim.replicas[3].log().has_unproposed_entries());
+        let fired = shim.replicas[3].handle_timer(ConsensusTimer::Suspicion);
+        assert!(!sends_view_change(&fired));
+        assert_eq!(
+            suspicion_starts(&fired),
+            vec![SimDuration::from_millis(100)],
+            "it looks again one node timeout later"
+        );
+        assert_eq!(shim.replicas[3].suspicions.get(), 0);
+        assert!(shim.replicas[3].take_stranded().is_empty());
     }
 }

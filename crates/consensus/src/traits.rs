@@ -4,7 +4,7 @@ use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::ConsensusMessage;
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::Registry;
-use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, Transaction, TxnId, ViewNumber};
+use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, Signature, Transaction, TxnId, ViewNumber};
 use std::collections::HashSet;
 
 /// Counters describing how adversarial a replica's recovery was. All are
@@ -88,35 +88,32 @@ pub trait OrderingProtocol {
         false
     }
 
-    /// Offers a transaction body observed from client submission to the
-    /// protocol's body cache, feeding proposal reconstruction. May return
-    /// actions when the body completes an in-flight reconstruction (the
-    /// proposal can race ahead of the client broadcast). Protocols without
-    /// a body cache ignore it.
-    fn offer_body(&mut self, txn: Transaction) -> Vec<ConsensusAction> {
-        let _ = txn;
+    /// Offers a transaction body observed from client submission, with
+    /// the client's signature, to the protocol's body cache, feeding
+    /// proposal reconstruction. May return actions: the body can complete
+    /// an in-flight reconstruction (the proposal can race ahead of the
+    /// client broadcast), and a backup arms its suspicion timer on the
+    /// first body no proposal has carried. Protocols without a body cache
+    /// ignore it.
+    fn offer_body(&mut self, txn: Transaction, signature: Signature) -> Vec<ConsensusAction> {
+        let _ = (txn, signature);
         Vec::new()
     }
 
-    /// The cached body of transaction `id`, if this node holds one (the
-    /// shim re-proposes stranded requests from it after a view change).
-    /// Protocols without a body cache hold none.
-    fn cached_body(&self, id: TxnId) -> Option<Transaction> {
-        let _ = id;
-        None
+    /// Hands over the client requests this node holds that no proposal
+    /// has carried (stranded by a silent primary), with their client
+    /// signatures, in `TxnId` order, and forgets them. A new primary
+    /// re-proposes them through its regular ordering path. Empty when this
+    /// node missed a proposal (it cannot tell which requests that proposal
+    /// carried) and for protocols without a body cache.
+    fn take_stranded(&mut self) -> Vec<(Transaction, Signature)> {
+        Vec::new()
     }
 
-    /// Whether this node's log holds votes for a sequence number whose
-    /// proposal it never accepted: it missed a proposal, so it cannot
-    /// tell which client requests that proposal carried. Protocols without
-    /// a body cache never re-propose and report `false`.
-    fn missed_proposals(&self) -> bool {
-        false
-    }
-
-    /// Garbage-collects cached transaction bodies, keeping only ids in
-    /// `protected` (the shim calls this on its checkpoint-rhythm GC).
-    /// Protocols without a body cache ignore it.
+    /// Garbage-collects cached transaction bodies, keeping ids in
+    /// `protected` (the shim calls this on its checkpoint-rhythm GC) and
+    /// the bodies no proposal has carried yet. Protocols without a body
+    /// cache ignore it.
     fn gc_bodies(&mut self, protected: &HashSet<TxnId>) {
         let _ = protected;
     }
@@ -136,7 +133,7 @@ pub trait OrderingProtocol {
     }
 
     /// Re-homes the protocol's internal counters (body-cache hits/misses,
-    /// fetch traffic) into `registry` under `prefix`. Protocols without
+    /// fetch traffic, suspicions) into `registry` under `prefix`. Protocols without
     /// counters ignore it.
     fn register_metrics(&mut self, registry: &Registry, prefix: &str) {
         let _ = (registry, prefix);

@@ -231,7 +231,8 @@ pub struct Envelope {
 pub enum ProtocolTimer {
     /// The client timer `τ_m` for one outstanding request.
     ClientRequest(TxnId),
-    /// A timer owned by the shim node's ordering protocol.
+    /// A timer owned by the shim node's ordering protocol (its request,
+    /// view-change, state-transfer and backup-suspicion timers).
     Consensus(ConsensusTimer),
     /// The node re-transmission timer `Υ` tracking an `ERROR` it forwarded.
     Retransmit(RecoverySubject),
@@ -242,10 +243,6 @@ pub enum ProtocolTimer {
     /// Probation on a region an invoker reactively marked down after a
     /// `SpawnRejected` answer: on expiry the region is tried again.
     RegionProbation(Region),
-    /// A backup's one suspicion timer, armed for the deadline of the
-    /// oldest client body no proposal has carried yet: on expiry a
-    /// primary that stayed silent that long is replaced.
-    Suspicion,
 }
 
 /// An action requested by a role state machine, interpreted by the runtime.

@@ -19,8 +19,8 @@ use crate::events::{
 };
 use crate::planner::{home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
-    Batcher, ConsensusAction, ConsensusMessage, ConsensusTimer, OrderingProtocol, PbftReplica,
-    RecoveryStats, SignedBatch,
+    Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, RecoveryStats,
+    SignedBatch,
 };
 use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::{codec as wal_codec, recover, MemWal, WalRecord, WriteAheadLog};
@@ -31,7 +31,7 @@ use sbft_types::{
     Batch, ComponentId, ConflictHandling, NodeId, SeqNum, ShardPlan, SimTime, SpawningMode,
     SystemConfig, TxnId, ViewNumber,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A committed batch that may still need spawning or re-spawning. The
@@ -47,19 +47,6 @@ struct CommittedBatch {
     /// view changes).
     plan: ShardPlan,
     spawned: bool,
-}
-
-/// A client body a backup holds whose id no accepted proposal or
-/// committed batch has carried yet (see [`ShimNode::watch`]). The body
-/// itself stays in the ordering protocol's body cache.
-#[derive(Clone, Copy, Debug)]
-struct Watched {
-    arrival: SimTime,
-    signature: sbft_types::Signature,
-    /// Highest validated sequence number when the body arrived. Once the
-    /// GC cutoff passes it the entry is dropped: its id sat in a proposal
-    /// this node never received.
-    stamp: SeqNum,
 }
 
 /// The shim-node role state machine.
@@ -121,27 +108,8 @@ pub struct ShimNode {
     /// what prevents one byzantine primary from cascading the shim through
     /// many views when many `ERROR` messages arrive at once).
     retransmit_view: std::collections::HashMap<RecoverySubject, ViewNumber>,
-    /// Backup suspicion (body-caching protocols): the client bodies this
-    /// backup holds that no accepted proposal, `NEWVIEW` re-issue or
-    /// committed batch has carried yet, in `TxnId` order. One timer covers
-    /// them all (see [`Self::arm_suspicion`]); when the primary stays
-    /// silent past the oldest body's deadline, this node asks for a view
-    /// change, and as the next primary it re-proposes what is left here.
-    watch: BTreeMap<TxnId, Watched>,
-    /// Ids this node saw in an accepted proposal or a committed batch,
-    /// stamped like [`Watched::stamp`] and dropped by the same GC: a body
-    /// that arrives after its proposal never enters the watch.
-    settled: HashMap<TxnId, SeqNum>,
-    /// Whether the suspicion timer is pending.
-    suspicion_armed: bool,
-    /// Whether this node already asked to replace the current view's
-    /// primary from the suspicion timer (cleared when a view installs).
-    suspected: bool,
-    /// When the primary last showed progress to this node: a proposal
-    /// accepted, or a view installed. Suspicion counts from here or from
-    /// the oldest watched arrival, whichever is later.
-    last_progress: SimTime,
-    /// The latest time this node observed (entry points that carry one).
+    /// The latest time this node observed (entry points that carry one);
+    /// a new primary batches its re-proposed stranded requests at it.
     clock: SimTime,
     /// The durable write-ahead log, present when `config.durability` is
     /// enabled. `new` attaches the deterministic in-memory backend (what
@@ -176,7 +144,6 @@ pub struct ShimNode {
     state_request_retries: Counter,
     catch_ups: Counter,
     view_changes: Counter,
-    suspicions: Counter,
     stranded_reproposed: Counter,
 }
 
@@ -238,11 +205,6 @@ impl ShimNode {
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
             retransmit_view: std::collections::HashMap::new(),
-            watch: BTreeMap::new(),
-            settled: HashMap::new(),
-            suspicion_armed: false,
-            suspected: false,
-            last_progress: SimTime::ZERO,
             clock: SimTime::ZERO,
             wal,
             last_snapshot: SeqNum(0),
@@ -262,7 +224,6 @@ impl ShimNode {
             state_request_retries: Counter::new(),
             catch_ups: Counter::new(),
             view_changes: Counter::new(),
-            suspicions: Counter::new(),
             stranded_reproposed: Counter::new(),
         }
     }
@@ -361,7 +322,6 @@ impl ShimNode {
             registry.counter(&format!("shim.{id}.faults.state_request_retries"));
         self.catch_ups = registry.counter(&format!("shim.{id}.faults.catch_ups"));
         self.view_changes = registry.counter(&format!("shim.{id}.view_changes"));
-        self.suspicions = registry.counter(&format!("shim.{id}.suspicions"));
         self.stranded_reproposed = registry.counter(&format!("shim.{id}.stranded_reproposed"));
         self.batcher
             .register_metrics(registry, &format!("shim.{id}"));
@@ -540,12 +500,10 @@ impl ShimNode {
                 // node, so a non-primary seeds its body cache instead of
                 // relaying to the primary. The offer may complete an
                 // in-flight reconstruction (the proposal can race ahead of
-                // the client broadcast), in which case consensus actions
-                // come back. The body is watched until a proposal carries it.
-                let actions = self.ordering.offer_body(req.txn.clone());
-                let mut out = self.translate(actions);
-                out.extend(self.watch_body(req.txn.id, req.signature, now));
-                return out;
+                // the client broadcast) or arm the backup's suspicion
+                // timer, in which case consensus actions come back.
+                let actions = self.ordering.offer_body(req.txn.clone(), req.signature);
+                return self.translate(actions);
             }
             // The baselines' clients target the primary; a node that is
             // not the primary forwards the request (e.g. after a view
@@ -616,7 +574,7 @@ impl ShimNode {
             // The primary caches the body too: if the view changes before
             // this transaction is proposed, the new primary's proposal
             // finds the body locally instead of fetching it.
-            let actions = self.ordering.offer_body(txn.clone());
+            let actions = self.ordering.offer_body(txn.clone(), signature);
             offered_actions = self.translate(actions);
         }
         // Ordering-time shard planning: classify the transaction's
@@ -685,8 +643,9 @@ impl ShimNode {
         self.on_consensus_message_at(from, msg, SimTime::ZERO)
     }
 
-    /// Like [`Self::on_consensus_message`] but with the current time, which
-    /// the backup suspicion timer counts from.
+    /// Like [`Self::on_consensus_message`] but with the current time, at
+    /// which a view installed by the message batches re-proposed stranded
+    /// requests.
     pub fn on_consensus_message_at(
         &mut self,
         from: NodeId,
@@ -695,30 +654,7 @@ impl ShimNode {
     ) -> Vec<Action> {
         self.observe(now);
         let is_state_response = matches!(msg, ConsensusMessage::StateResponse(_));
-        let proposed = if self.ordering.caches_bodies() {
-            proposals_in(&msg)
-                .map(|pp| (pp.seq, pp.txn_ids.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let actions = self.ordering.handle_message(from, msg);
-        // The ordering protocol starts a proposal's request timer exactly
-        // when it accepts the proposal (with its batch rebuilt, or with
-        // the missing bodies being fetched); from then on that timer, not
-        // the suspicion watch, covers its ids.
-        for (seq, ids) in proposed {
-            let accepted = actions.iter().any(|a| {
-                matches!(a, ConsensusAction::StartTimer {
-                    timer: ConsensusTimer::Request(s),
-                    ..
-                } if *s == seq)
-            });
-            if accepted {
-                self.last_progress = self.clock;
-                self.settle(&ids);
-            }
-        }
         let mut transfer_done = false;
         if is_state_response {
             let adopted = actions
@@ -765,12 +701,6 @@ impl ShimNode {
         for action in actions {
             match action {
                 ConsensusAction::Broadcast(msg) => {
-                    // This node's own proposals and NEWVIEW re-issues carry
-                    // their ids out of the watch: the new primary never
-                    // re-proposes a request it re-issues as prepared.
-                    for pp in proposals_in(&msg) {
-                        self.settle(&pp.txn_ids);
-                    }
                     // The durable-vote rule: the WAL write (synced for
                     // COMMIT votes) is charged before the send leaves.
                     out.extend(self.wal_on_broadcast(&msg));
@@ -799,9 +729,6 @@ impl ShimNode {
                     plan,
                     certificate,
                 } => {
-                    if self.ordering.caches_bodies() {
-                        self.settle(&batch.txn_ids());
-                    }
                     out.extend(self.wal_on_committed(
                         view,
                         seq,
@@ -813,17 +740,10 @@ impl ShimNode {
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
                     self.view_changes.inc();
-                    // Every watched deadline restarts: the new primary gets
-                    // a full node timeout before it is suspected.
-                    self.suspected = false;
-                    self.last_progress = self.clock;
                     out.extend(self.wal_on_view_installed(view));
                     out.extend(self.on_view_installed());
                 }
                 ConsensusAction::CaughtUp { up_to } => {
-                    // Batches this node only learned had committed: any
-                    // watched body may have ridden one of them.
-                    self.watch.clear();
                     out.extend(self.wal_on_caught_up(up_to));
                 }
             }
@@ -975,11 +895,6 @@ impl ShimNode {
         self.validated_txns.clear();
         self.pending_seen.clear();
         self.retransmit_view.clear();
-        self.watch.clear();
-        self.settled.clear();
-        self.suspicion_armed = false;
-        self.suspected = false;
-        self.last_progress = self.clock;
         self.max_validated = SeqNum(0);
         self.seen_gc_floor = SeqNum(0);
         self.last_snapshot = SeqNum(0);
@@ -1179,18 +1094,15 @@ impl ShimNode {
     /// When this node becomes the primary of a new view it re-spawns
     /// executors for every batch that committed but was never validated by
     /// the verifier (otherwise a view change could leave committed batches
-    /// stranded without executors), then re-proposes every watched client
-    /// request, in `TxnId` order: the old primary never proposed them, and
-    /// the clients sent them to this node already. They take the regular
-    /// ordering path (duplicate suppression, aggregate signature check).
-    /// Ids in committed batches or in this view's re-issued prepared
-    /// batches left the watch before this runs. A node that missed a
-    /// proposal cannot tell which watched requests it carried, so it
-    /// re-proposes none and leaves them to the clients' retries. A backup
-    /// re-arms its suspicion timer for the new primary instead.
+    /// stranded without executors), then re-proposes the client requests
+    /// the ordering protocol reports stranded ([`OrderingProtocol::take_stranded`]:
+    /// bodies it holds that no proposal, re-issue or commit carried, in
+    /// `TxnId` order, none if it missed a proposal). The clients sent them
+    /// to this node already; they take the regular ordering path
+    /// (duplicate suppression, aggregate signature check).
     fn on_view_installed(&mut self) -> Vec<Action> {
         if !self.is_primary() {
-            return self.arm_suspicion(self.clock);
+            return Vec::new();
         }
         let unspawned: Vec<SeqNum> = self
             .committed
@@ -1202,112 +1114,18 @@ impl ShimNode {
         for seq in unspawned {
             actions.extend(self.spawn_for(seq));
         }
-        let stranded = std::mem::take(&mut self.watch);
-        if self.ordering.missed_proposals() {
-            return actions;
-        }
-        for (id, watched) in stranded {
-            let Some(txn) = self.ordering.cached_body(id) else {
-                continue;
-            };
+        for (txn, signature) in self.ordering.take_stranded() {
             let digest = ClientRequest::signing_digest(&txn);
             self.stranded_reproposed.inc();
-            actions.extend(self.order_transaction(txn, digest, watched.signature, self.clock));
+            actions.extend(self.order_transaction(txn, digest, signature, self.clock));
         }
         actions
     }
-
-    // ---- backup suspicion -----------------------------------------------------
 
     /// Advances this node's clock to `now` (never backwards: the entry
     /// points without a time pass zero).
     fn observe(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
-    }
-
-    /// Starts watching a client body a backup just cached, unless a
-    /// proposal or a committed batch already carried its id, and arms the
-    /// suspicion timer if it is idle.
-    fn watch_body(
-        &mut self,
-        id: TxnId,
-        signature: sbft_types::Signature,
-        now: SimTime,
-    ) -> Vec<Action> {
-        if self.settled.contains_key(&id) {
-            return Vec::new();
-        }
-        self.watch.entry(id).or_insert(Watched {
-            arrival: now,
-            signature,
-            stamp: self.max_validated,
-        });
-        self.arm_suspicion(now)
-    }
-
-    /// Takes ids out of the watch once an accepted proposal or a
-    /// committed batch carries them, and keeps them out.
-    fn settle(&mut self, ids: &[TxnId]) {
-        for id in ids {
-            self.watch.remove(id);
-            self.settled.insert(*id, self.max_validated);
-        }
-    }
-
-    /// When the primary counts as silent: one node timeout after the later
-    /// of the oldest watched arrival and the primary's last progress.
-    fn suspicion_deadline(&self) -> Option<SimTime> {
-        let oldest = self.watch.values().map(|w| w.arrival).min()?;
-        Some(oldest.max(self.last_progress) + self.config.timers.node_timeout)
-    }
-
-    /// Arms the one suspicion timer for the current deadline, unless it is
-    /// pending already, the watch is empty, this node is the primary, or
-    /// it already asked to replace this view's primary.
-    fn arm_suspicion(&mut self, now: SimTime) -> Vec<Action> {
-        if self.suspicion_armed || self.suspected || self.is_primary() {
-            return Vec::new();
-        }
-        let Some(deadline) = self.suspicion_deadline() else {
-            return Vec::new();
-        };
-        self.suspicion_armed = true;
-        vec![Action::StartTimer {
-            timer: ProtocolTimer::Suspicion,
-            duration: deadline.since(now),
-        }]
-    }
-
-    /// The suspicion timer fired: a body is overdue and the primary has
-    /// had no proposal accepted here for a node timeout, so ask for a view
-    /// change; otherwise re-arm for the deadline that moved on. A node
-    /// that missed a proposal cannot tell whether an overdue body rode
-    /// it: it leaves the primary to the request timers and the
-    /// verifier's path, and looks again one node timeout later.
-    fn on_suspicion_timer(&mut self, now: SimTime) -> Vec<Action> {
-        self.suspicion_armed = false;
-        if self.suspected || self.is_primary() {
-            return Vec::new();
-        }
-        match self.suspicion_deadline() {
-            Some(deadline) if deadline <= now && self.ordering.missed_proposals() => {
-                self.suspicion_armed = true;
-                vec![Action::StartTimer {
-                    timer: ProtocolTimer::Suspicion,
-                    duration: self.config.timers.node_timeout,
-                }]
-            }
-            Some(deadline) if deadline <= now => {
-                self.suspected = true;
-                let actions = self.ordering.request_view_change();
-                if !actions.is_empty() {
-                    self.suspicions.inc();
-                }
-                self.translate(actions)
-            }
-            Some(_) => self.arm_suspicion(now),
-            None => Vec::new(),
-        }
     }
 
     // ---- verifier-driven recovery -----------------------------------------------
@@ -1432,28 +1250,25 @@ impl ShimNode {
                 self.seen_txns.remove(txn);
             }
         }
-        self.expire_never_validated(cutoff);
+        // The ids a tracked batch still accounts for: retained validated
+        // batches, local commits and the batcher lanes.
+        let mut protected: HashSet<TxnId> = self
+            .validated_txns
+            .values()
+            .flatten()
+            .copied()
+            .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
+            .chain(self.batcher.pending_txn_ids())
+            .collect();
+        self.expire_never_validated(cutoff, &protected);
         if self.ordering.caches_bodies() {
-            // Watched bodies still unproposed after two checkpoint
-            // intervals of validated progress sat in a proposal this node
-            // missed; they leave the watch like the other ledgers.
-            self.watch.retain(|_, w| w.stamp > cutoff);
-            self.settled.retain(|_, stamp| *stamp > cutoff);
             // Body-cache retention rides the same checkpoint rhythm: keep
-            // bodies for ids the node still tracks (suppression window,
-            // watched bodies, retained validated batches, local commits,
-            // batcher lanes); anything older can no longer appear in a
-            // fresh proposal, and an unlucky drop just downgrades a cache
-            // hit to a fetch.
-            let protected: std::collections::HashSet<TxnId> = self
-                .seen_txns
-                .keys()
-                .copied()
-                .chain(self.watch.keys().copied())
-                .chain(self.validated_txns.values().flatten().copied())
-                .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
-                .chain(self.batcher.pending_txn_ids())
-                .collect();
+            // bodies for ids the node still tracks (the tracked batches
+            // and the suppression window; the protocol keeps its
+            // unproposed bodies itself); anything older can no longer
+            // appear in a fresh proposal, and an unlucky drop just
+            // downgrades a cache hit to a fetch.
+            protected.extend(self.seen_txns.keys().copied());
             self.ordering.gc_bodies(&protected);
         }
     }
@@ -1462,14 +1277,14 @@ impl ShimNode {
     /// `BatchValidated`: every id stamped (in `pending_seen`) at or below
     /// the GC cutoff — i.e. batched at least two checkpoint intervals of
     /// validated progress ago — is reclaimed, *unless* a tracked batch
-    /// still accounts for it (a retained validated batch, released by the
+    /// still accounts for it (`protected`: a retained validated batch, released by the
     /// regular truncation instead, or a locally committed batch that may
     /// yet validate or be re-spawned; those ids are re-stamped and
     /// reconsidered at a later cutoff). What remains are the genuinely
     /// leaked ids: batched, then lost before commit — e.g. a proposal
     /// dropped across a view change without re-proposal — which
     /// previously accumulated forever.
-    fn expire_never_validated(&mut self, cutoff: SeqNum) {
+    fn expire_never_validated(&mut self, cutoff: SeqNum, protected: &HashSet<TxnId>) {
         let expired_stamps = {
             let rest = self.pending_seen.split_off(&SeqNum(cutoff.0 + 1));
             std::mem::replace(&mut self.pending_seen, rest)
@@ -1477,14 +1292,6 @@ impl ShimNode {
         if expired_stamps.is_empty() {
             return;
         }
-        let protected: std::collections::HashSet<TxnId> = self
-            .validated_txns
-            .values()
-            .flatten()
-            .copied()
-            .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
-            .chain(self.batcher.pending_txn_ids())
-            .collect();
         let mut restamped = Vec::new();
         for ids in expired_stamps.into_values() {
             for id in ids {
@@ -1527,7 +1334,6 @@ impl ShimNode {
                 }
             }
             ProtocolTimer::BatchPoll => self.poll_batcher(now),
-            ProtocolTimer::Suspicion => self.on_suspicion_timer(now),
             ProtocolTimer::RegionProbation(region) => {
                 // Probation over: optimistically mark the region back up.
                 // If it is still down the next spawn there is rejected
@@ -1547,17 +1353,6 @@ impl ShimNode {
             _ => None,
         }
     }
-}
-
-/// The proposals a consensus message carries: a `PREPREPARE`, or the
-/// re-issues of a `NEWVIEW`.
-fn proposals_in(msg: &ConsensusMessage) -> impl Iterator<Item = &sbft_consensus::PrePrepare> {
-    let (single, reissued) = match msg {
-        ConsensusMessage::PrePrepare(pp) => (Some(pp), &[][..]),
-        ConsensusMessage::NewView(nv) => (None, nv.reissued.as_slice()),
-        _ => (None, &[][..]),
-    };
-    single.into_iter().chain(reissued)
 }
 
 #[cfg(test)]
@@ -2794,131 +2589,7 @@ mod tests {
         }
     }
 
-    // ---- backup suspicion -------------------------------------------------
-
-    /// The suspicion timers among a list of actions, with their durations.
-    fn suspicion_timers(actions: &[Action]) -> Vec<sbft_types::SimDuration> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::StartTimer {
-                    timer: ProtocolTimer::Suspicion,
-                    duration,
-                } => Some(*duration),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn at_ms(ms: u64) -> SimTime {
-        SimTime::ZERO + sbft_types::SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn backup_arms_one_suspicion_timer_for_many_bodies() {
-        let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let timeout = shim.config.timers.node_timeout;
-        let mut timers = Vec::new();
-        for i in 0..6u64 {
-            let req = signed_request(&provider, i as u32, 0);
-            timers.extend(suspicion_timers(
-                &shim.nodes[2].on_client_request(&req, at_ms(i)),
-            ));
-        }
-        assert_eq!(timers, vec![timeout], "one timer, for the oldest body");
-        assert_eq!(shim.nodes[2].watch.len(), 6);
-        // The primary orders what it receives and watches nothing.
-        let actions =
-            shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        assert!(suspicion_timers(&actions).is_empty());
-        assert!(shim.nodes[0].watch.is_empty());
-        // A crash restart forgets the watch.
-        shim.nodes[2].crash();
-        let _ = shim.nodes[2].crash_restart();
-        assert!(shim.nodes[2].watch.is_empty());
-    }
-
-    #[test]
-    fn preprepare_holding_an_id_disarms_it() {
-        let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
-        let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
-        // A third body reaches the backups only.
-        let late = signed_request(&provider, 2, 0);
-        for node in &mut shim.nodes[1..] {
-            let _ = node.on_client_request(&late, SimTime::ZERO);
-        }
-        assert_eq!(shim.nodes[2].watch.len(), 3);
-        // Only the proposal reaches node 2 (no votes yet): its two ids
-        // leave the watch, the unproposed one stays.
-        let pp = proposal_of(&actions).expect("the primary proposes");
-        let _ = shim.nodes[2].on_consensus_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
-        let watched: Vec<TxnId> = shim.nodes[2].watch.keys().copied().collect();
-        assert_eq!(watched, vec![late.txn.id]);
-        // A client body for an id that already committed never enters.
-        let external = run_consensus(&mut shim, 0, actions);
-        assert!(external
-            .iter()
-            .any(|(n, a)| *n == NodeId(3) && matches!(a, Action::BatchCommitted { .. })));
-        let _ = shim.nodes[3].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        let watched: Vec<TxnId> = shim.nodes[3].watch.keys().copied().collect();
-        assert_eq!(watched, vec![late.txn.id]);
-    }
-
-    #[test]
-    fn overdue_body_with_a_silent_primary_requests_a_view_change() {
-        let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let timeout = shim.config.timers.node_timeout;
-        let node = &mut shim.nodes[2];
-        let _ = node.on_client_request(&signed_request(&provider, 0, 0), at_ms(10));
-        // Fired early (a stale timer): nothing is overdue, so it re-arms
-        // for the remaining time.
-        let early = node.on_timer(ProtocolTimer::Suspicion, at_ms(20));
-        assert!(envelopes(&early).is_empty());
-        assert_eq!(
-            suspicion_timers(&early),
-            vec![timeout - sbft_types::SimDuration::from_millis(10)]
-        );
-        // At the deadline the primary has proposed nothing: view change.
-        let actions = node.on_timer(ProtocolTimer::Suspicion, at_ms(10) + timeout);
-        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
-        assert_eq!(node.suspicions.get(), 1);
-        // Suspecting once per view is enough.
-        let _ = node.on_client_request(&signed_request(&provider, 1, 0), at_ms(5_000));
-        assert!(node
-            .on_timer(ProtocolTimer::Suspicion, at_ms(10_000))
-            .is_empty());
-        assert_eq!(node.suspicions.get(), 1);
-    }
-
-    #[test]
-    fn a_primary_that_keeps_proposing_is_not_suspected() {
-        // Node 3 holds a body the primary has not proposed (yet), but the
-        // primary keeps getting other proposals accepted there: it is not
-        // silent, so the deadline moves with its progress (the default
-        // node timeout, 1 s, outlasts the 900 ms until the proposal).
-        let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let timeout = shim.config.timers.node_timeout;
-        let _ = shim.nodes[3].on_client_request(&signed_request(&provider, 9, 0), at_ms(0));
-        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), at_ms(900));
-        let actions = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), at_ms(900));
-        let pp = proposal_of(&actions).expect("the primary proposes");
-        let _ = shim.nodes[3].on_consensus_message_at(
-            NodeId(0),
-            ConsensusMessage::PrePrepare(pp),
-            at_ms(900),
-        );
-        let fired = shim.nodes[3].on_timer(ProtocolTimer::Suspicion, SimTime::ZERO + timeout);
-        assert!(envelopes(&fired).is_empty(), "no VIEWCHANGE");
-        assert_eq!(
-            suspicion_timers(&fired),
-            vec![sbft_types::SimDuration::from_millis(900)]
-        );
-    }
+    // ---- stranded requests ------------------------------------------------
 
     #[test]
     fn new_primary_rebatches_stranded_bodies_but_not_reissued_prepared_ones() {
@@ -2957,13 +2628,15 @@ mod tests {
         let node = &shim.nodes[1];
         assert!(node.is_primary());
         assert_eq!(node.stranded_reproposed.get(), 2);
-        assert!(node.watch.is_empty());
         let ids = |seq: u64| node.committed_batch(SeqNum(seq)).map(Batch::txn_ids);
         assert_eq!(ids(1), Some(vec![r0.txn.id, r1.txn.id]));
         assert_eq!(ids(2), Some(vec![r2.txn.id, r3.txn.id]));
         assert_eq!(ids(3), None, "nothing is ordered twice");
-        for backup in &shim.nodes[2..] {
-            assert!(backup.watch.is_empty(), "the re-proposal disarmed them");
+        for backup in &mut shim.nodes[2..] {
+            assert!(
+                backup.ordering.take_stranded().is_empty(),
+                "the re-proposal carried every stranded body"
+            );
         }
     }
 }

@@ -204,6 +204,10 @@ impl SchedulerInner {
                             })
                             .collect();
                         ticket.record_all(entries);
+                        // Release this task's batch and ticket before the
+                        // in-flight count falls: a returned `drain` means
+                        // no worker still holds a clone of either.
+                        drop((txns, ticket));
                         self.complete(n);
                     }
                 }

@@ -130,6 +130,15 @@ impl Ord for Event {
     }
 }
 
+/// A registry counter the run report mirrors into [`RunMetrics`]: read by
+/// its exact name, or summed over every counter whose name ends in
+/// `.suffix` (one per component).
+#[derive(Clone, Copy, Debug)]
+enum Mirrored {
+    Exact(&'static str),
+    Summed(&'static str),
+}
+
 /// The simulator.
 pub struct SimHarness {
     system: System,
@@ -374,41 +383,7 @@ impl SimHarness {
         self.metrics.end_time = self.clock;
         self.metrics.executors_spawned = self.system.cloud.total_spawned();
         self.metrics.spawns_rejected = self.system.cloud.rejected();
-        // Every component registered its counters into the system
-        // registry at build time; the run report reads them back from
-        // there (RunMetrics is a façade over the registry).
-        let registry = &self.system.registry;
-        self.metrics.divergent_aborts = registry.counter_value("verifier.divergent_aborts");
-        self.metrics.validated_batches = registry.counter_value("verifier.validated_batches");
-        self.metrics.single_home_batches = registry.counter_value("verifier.single_home_batches");
-        self.metrics.planned_batches = registry.counter_value("verifier.planned_batches");
-        self.metrics.plan_mismatches = registry.counter_value("verifier.plan_mismatches");
-        self.metrics.pinned_spawns = registry.sum_counters("pinned_spawns");
-        self.metrics.placement_fallbacks = registry.sum_counters("placement_fallbacks");
-        if self.geo.is_some() {
-            self.metrics.local_storage_fetches =
-                registry.counter_value("storage.geo.local_fetches");
-            self.metrics.remote_storage_fetches =
-                registry.counter_value("storage.geo.remote_fetches");
-        }
-        self.metrics.wal_appends = registry.sum_counters("durability.wal_appends");
-        self.metrics.snapshot_bytes = registry.sum_counters("durability.snapshot_bytes");
-        self.metrics.replay_batches = registry.sum_counters("durability.replay_batches");
-        self.metrics.state_transfer_batches =
-            registry.sum_counters("durability.state_transfer_batches");
-        self.metrics.recoveries = registry.counter_value("recovery.recoveries");
-        self.metrics.messages_dropped = registry.counter_value("faults.messages_dropped");
-        self.metrics.messages_duplicated = registry.counter_value("faults.messages_duplicated");
-        self.metrics.messages_delayed = registry.counter_value("faults.messages_delayed");
-        self.metrics.partition_drops = registry.counter_value("faults.partition_drops");
-        self.metrics.fsync_lags = registry.counter_value("faults.fsync_lags");
-        self.metrics.bad_state_responses = registry.sum_counters("faults.bad_state_responses");
-        self.metrics.state_request_retries = registry.sum_counters("faults.state_request_retries");
-        self.metrics.catch_ups = registry.sum_counters("faults.catch_ups");
-        self.metrics.leader_egress_bytes = registry.counter_value("net.leader_egress_bytes");
-        self.metrics.body_cache_hits = registry.sum_counters("digest.cache_hits");
-        self.metrics.body_cache_misses = registry.sum_counters("digest.cache_misses");
-        self.metrics.batch_fetches = registry.sum_counters("digest.fetches_sent");
+        self.mirror_registry();
         // Every node that took part installs the same views, so the most
         // any node counted is the number of view changes the run saw.
         self.metrics.view_changes = self
@@ -419,6 +394,53 @@ impl SimHarness {
             .max()
             .unwrap_or(0);
         std::mem::take(&mut self.metrics)
+    }
+
+    /// Copies the registry counters the run report mirrors into
+    /// `RunMetrics` (a façade over the registry: every component
+    /// registered its counters there at build time) and returns each one
+    /// it read.
+    fn mirror_registry(&mut self) -> Vec<Mirrored> {
+        use Mirrored::{Exact, Summed};
+        let registry = std::sync::Arc::clone(&self.system.registry);
+        let mut read = Vec::new();
+        let mut mirror = |counter: Mirrored| {
+            read.push(counter);
+            match counter {
+                Exact(name) => registry.counter_value(name),
+                Summed(suffix) => registry.sum_counters(suffix),
+            }
+        };
+        let m = &mut self.metrics;
+        m.divergent_aborts = mirror(Exact("verifier.divergent_aborts"));
+        m.validated_batches = mirror(Exact("verifier.validated_batches"));
+        m.single_home_batches = mirror(Exact("verifier.single_home_batches"));
+        m.planned_batches = mirror(Exact("verifier.planned_batches"));
+        m.plan_mismatches = mirror(Exact("verifier.plan_mismatches"));
+        m.pinned_spawns = mirror(Summed("pinned_spawns"));
+        m.placement_fallbacks = mirror(Summed("placement_fallbacks"));
+        if self.geo.is_some() {
+            m.local_storage_fetches = mirror(Exact("storage.geo.local_fetches"));
+            m.remote_storage_fetches = mirror(Exact("storage.geo.remote_fetches"));
+        }
+        m.wal_appends = mirror(Summed("durability.wal_appends"));
+        m.snapshot_bytes = mirror(Summed("durability.snapshot_bytes"));
+        m.replay_batches = mirror(Summed("durability.replay_batches"));
+        m.state_transfer_batches = mirror(Summed("durability.state_transfer_batches"));
+        m.recoveries = mirror(Exact("recovery.recoveries"));
+        m.messages_dropped = mirror(Exact("faults.messages_dropped"));
+        m.messages_duplicated = mirror(Exact("faults.messages_duplicated"));
+        m.messages_delayed = mirror(Exact("faults.messages_delayed"));
+        m.partition_drops = mirror(Exact("faults.partition_drops"));
+        m.fsync_lags = mirror(Exact("faults.fsync_lags"));
+        m.bad_state_responses = mirror(Summed("faults.bad_state_responses"));
+        m.state_request_retries = mirror(Summed("faults.state_request_retries"));
+        m.catch_ups = mirror(Summed("faults.catch_ups"));
+        m.leader_egress_bytes = mirror(Exact("net.leader_egress_bytes"));
+        m.body_cache_hits = mirror(Summed("digest.cache_hits"));
+        m.body_cache_misses = mirror(Summed("digest.cache_misses"));
+        m.batch_fetches = mirror(Summed("digest.fetches_sent"));
+        read
     }
 
     fn handle_event(&mut self, event: Event) {
@@ -1642,6 +1664,57 @@ mod tests {
             0,
             "fault-free: no suspicion"
         );
+    }
+
+    #[test]
+    fn every_counter_the_run_report_mirrors_is_registered() {
+        // `RunMetrics` reads its counters back from the registry by name,
+        // and a name nobody registers reads 0. One run with every feature
+        // on (geo partition, durability, a crash and a fault plan) must
+        // register every name the report mirrors.
+        let mut cfg = tiny_config();
+        cfg.conflict_handling = ConflictHandling::KnownRwSets;
+        cfg.sharding = sbft_types::ShardingConfig::with_shards(6).with_geo_partitioning();
+        cfg.durability = sbft_types::DurabilityConfig::enabled();
+        let system = SystemBuilder::new(cfg).clients(40).build();
+        let params = SimParams {
+            crash: Some(CrashRestart::of(
+                NodeId(2),
+                SimDuration::from_millis(150),
+                SimDuration::from_millis(60),
+            )),
+            ..tiny_params()
+        };
+        let link = crate::faults::LinkFaults::lossy(0.05)
+            .with_duplicate(0.05)
+            .with_delay(0.05, SimDuration::from_millis(5));
+        let mut harness = SimHarness::new(system, params)
+            .with_fault_plan(FaultPlan::new().lossy_node(NodeId(3), link));
+        let metrics = harness.run_to_end();
+        assert!(metrics.committed_txns > 0);
+        assert_eq!(metrics.recoveries, 1);
+        let counters: Vec<String> = harness
+            .system
+            .registry
+            .snapshot()
+            .into_iter()
+            .filter(|(_, metric)| matches!(metric, sbft_telemetry::Metric::Counter(_)))
+            .map(|(name, _)| name)
+            .collect();
+        let mirrored = harness.mirror_registry();
+        assert!(mirrored.len() > 20);
+        for counter in mirrored {
+            let registered = match counter {
+                Mirrored::Exact(name) => counters.iter().any(|c| c == name),
+                Mirrored::Summed(suffix) => counters
+                    .iter()
+                    .any(|c| c == suffix || c.ends_with(&format!(".{suffix}"))),
+            };
+            assert!(
+                registered,
+                "{counter:?} is mirrored into RunMetrics but never registered"
+            );
+        }
     }
 
     #[test]
